@@ -126,8 +126,10 @@ int main() {
     if (Stat.totalWeight() < 20000)
       continue; // Skip negligible connective tissue.
     S.row()
+        // append, not `"m" + std::to_string(Id)`: GCC 12 at -O3 reports a
+        // false -Wrestrict on the operator+ form.
         .cell(Id == ProloguePhase ? std::string("start")
-                                  : "m" + std::to_string(Id))
+                                  : std::string("m").append(std::to_string(Id)))
         .cell(LenByPhase[Id].mean(), 0)
         .percentCell(Stat.mean());
   }

@@ -37,7 +37,10 @@ CallLoopGraph::CallLoopGraph(uint32_t NumFuncsIn, uint32_t NumLoopsIn) {
   Nodes.resize(1 + 2 * NumFuncs + 2 * NumLoops);
   Nodes[RootNode] = {NodeKind::Root, 0, ~0u, "<root>"};
   for (uint32_t F = 0; F < NumFuncs; ++F) {
-    std::string Name = "f" + std::to_string(F);
+    // Appending to a named string, not `"f" + std::to_string(F)`: GCC 12
+    // at -O3 reports a false -Wrestrict on the temporary form.
+    std::string Name = "f";
+    Name += std::to_string(F);
     Nodes[procHead(F)] = {NodeKind::ProcHead, F, ~0u, Name + ".head"};
     Nodes[procBody(F)] = {NodeKind::ProcBody, F, ~0u, Name + ".body"};
   }

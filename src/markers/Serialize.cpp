@@ -49,8 +49,13 @@ std::string endpointName(const PortableEndpoint &E) {
   case NodeKind::ProcBody:
     return E.Func;
   case NodeKind::LoopHead:
-  case NodeKind::LoopBody:
-    return "s" + std::to_string(E.LoopStmt);
+  case NodeKind::LoopBody: {
+    // Not `"s" + std::to_string(..)`: GCC 12 at -O3 reports a false
+    // -Wrestrict on that temporary form.
+    std::string Name = "s";
+    Name += std::to_string(E.LoopStmt);
+    return Name;
+  }
   }
   return "-";
 }
