@@ -26,6 +26,8 @@
 #ifndef SPM_ADAPTCACHE_ADAPTIVECACHE_H
 #define SPM_ADAPTCACHE_ADAPTIVECACHE_H
 
+#include "support/Metrics.h"
+#include "support/Trace.h"
 #include "uarch/Cache.h"
 #include "vm/Observer.h"
 
@@ -98,6 +100,11 @@ public:
   void onRunEnd(uint64_t Total) override {
     (void)Total;
     finalizeInterval();
+    if (spmTraceEnabled()) {
+      MetricsRegistry &M = metrics();
+      M.counter("adaptcache.intervals").forceAdd(NumIntervals);
+      M.counter("adaptcache.explorations").forceAdd(NumExplorations);
+    }
   }
 
   AdaptiveCacheResult result() const {

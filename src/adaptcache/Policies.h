@@ -20,6 +20,7 @@
 #include "markers/Pipeline.h"
 #include "reuse/ReuseMarkers.h"
 #include "simpoint/SimPoint.h"
+#include "support/Trace.h"
 
 #include <vector>
 
@@ -32,6 +33,7 @@ inline AdaptiveCacheResult
 runAdaptiveWithMarkers(const Binary &B, const LoopIndex &Loops,
                        const CallLoopGraph &G, const MarkerSet &M,
                        const WorkloadInput &In) {
+  SPM_TRACE_SPAN("adaptcache.markers_policy");
   AdaptiveCacheEngine Engine;
   CallLoopTracker Tracker(B, Loops, G);
   MarkerRuntime Runtime(M, G);
@@ -39,11 +41,8 @@ runAdaptiveWithMarkers(const Binary &B, const LoopIndex &Loops,
   Runtime.setCallback(
       [&](int32_t Idx) { Engine.onPhaseBoundary(Idx); });
 
-  ObserverMux Mux;
-  Mux.add(&Tracker);
-  Mux.add(&Engine);
-  Interpreter Interp(B, In);
-  Interp.run(Mux);
+  StaticMux<CallLoopTracker, AdaptiveCacheEngine> Mux(Tracker, Engine);
+  Interpreter(B, In).runFast(Mux);
   return Engine.result();
 }
 
@@ -53,16 +52,14 @@ runAdaptiveWithMarkers(const Binary &B, const LoopIndex &Loops,
 inline AdaptiveCacheResult
 runAdaptiveWithReuseMarkers(const Binary &B, const ReuseMarkerSet &M,
                             const WorkloadInput &In) {
+  SPM_TRACE_SPAN("adaptcache.reuse_policy");
   AdaptiveCacheEngine Engine;
   ReuseMarkerRuntime Runtime(M);
   Runtime.setCallback(
       [&](int32_t Idx) { Engine.onPhaseBoundary(Idx); });
 
-  ObserverMux Mux;
-  Mux.add(&Runtime);
-  Mux.add(&Engine);
-  Interpreter Interp(B, In);
-  Interp.run(Mux);
+  StaticMux<ReuseMarkerRuntime, AdaptiveCacheEngine> Mux(Runtime, Engine);
+  Interpreter(B, In).runFast(Mux);
   return Engine.result();
 }
 
@@ -108,6 +105,7 @@ inline AdaptiveCacheResult
 runAdaptiveWithOracleBbv(const Binary &B, const WorkloadInput &In,
                          uint64_t FixedLen,
                          const SimPointConfig &SPConfig = SimPointConfig()) {
+  SPM_TRACE_SPAN("adaptcache.oracle_policy");
   // Pass 1: collect BBVs and cluster.
   std::vector<IntervalRecord> Ivs =
       runFixedIntervals(B, In, FixedLen, /*CollectBbv=*/true);
@@ -116,11 +114,8 @@ runAdaptiveWithOracleBbv(const Binary &B, const WorkloadInput &In,
   // Pass 2: replay deterministically, steering by the oracle phase ids.
   AdaptiveCacheEngine Engine;
   OracleBoundaryDriver Driver(Engine, FixedLen, SP.Assign);
-  ObserverMux Mux;
-  Mux.add(&Driver);
-  Mux.add(&Engine);
-  Interpreter Interp(B, In);
-  Interp.run(Mux);
+  StaticMux<OracleBoundaryDriver, AdaptiveCacheEngine> Mux(Driver, Engine);
+  Interpreter(B, In).runFast(Mux);
   return Engine.result();
 }
 
@@ -137,10 +132,11 @@ inline FixedSizeResult
 bestFixedSize(const Binary &B, const WorkloadInput &In,
               double HitTolAbs = 0.0005,
               std::vector<CacheConfig> Sweep = CacheConfig::reconfigSweep()) {
+  SPM_TRACE_SPAN("adaptcache.best_fixed");
   class ProbeObserver : public ExecutionObserver {
   public:
-    explicit ProbeObserver(std::vector<CacheConfig> Sweep)
-        : Probe(std::move(Sweep)) {}
+    explicit ProbeObserver(const std::vector<CacheConfig> &Sweep)
+        : Probe(Sweep) {}
     void onMemAccess(uint64_t Addr, bool IsStore) override {
       (void)IsStore;
       Probe.access(Addr);
@@ -149,8 +145,7 @@ bestFixedSize(const Binary &B, const WorkloadInput &In,
   };
 
   ProbeObserver Obs(Sweep);
-  Interpreter Interp(B, In);
-  Interp.run(Obs);
+  Interpreter(B, In).runFast(Obs);
 
   FixedSizeResult R;
   R.PerConfig = Obs.Probe.statsSnapshot();
@@ -172,9 +167,9 @@ bestFixedSize(const Binary &B, const WorkloadInput &In,
 inline ReuseMarkerSet
 profileReuseMarkers(const Binary &B, const WorkloadInput &In,
                     const ReuseMarkerConfig &Config = ReuseMarkerConfig()) {
+  SPM_TRACE_SPAN("reuse.profile");
   ReuseSignalCollector Collector(Config.WindowInstrs);
-  Interpreter Interp(B, In);
-  Interp.run(Collector);
+  Interpreter(B, In).runFast(Collector);
   ReuseProfile P = Collector.takeProfile();
   return selectReuseMarkers(P, Config);
 }

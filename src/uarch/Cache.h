@@ -13,7 +13,14 @@
 /// Replacement is true LRU. MultiCacheProbe simulates every configuration
 /// of the sweep simultaneously on one address stream, which is how both the
 /// exploration intervals of the adaptive scheme and the oracle policies
-/// learn per-interval miss rates for all sizes.
+/// learn per-interval miss rates for all sizes. It is a single-pass LRU
+/// stack (Mattson et al.'s inclusion property, as in the Cheetah simulator):
+/// one recency stack per set, as deep as the widest configuration, with one
+/// hit counter per stack depth. A hit at depth d is a hit for every
+/// configuration with more than d ways, so one probe per access yields the
+/// exact per-configuration stats eight separate LRU caches would. This
+/// requires every configuration of the sweep to share the set count and
+/// block size, as reconfigSweep() does.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +28,7 @@
 #define SPM_UARCH_CACHE_H
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -93,6 +101,8 @@ public:
     assert((NewCfg.BlockBytes & (NewCfg.BlockBytes - 1)) == 0 &&
            "block size must be a power of two");
     Cfg = NewCfg;
+    BlockShift = static_cast<uint32_t>(std::countr_zero(Cfg.BlockBytes));
+    SetShift = static_cast<uint32_t>(std::countr_zero(Cfg.Sets));
     Tags.assign(static_cast<size_t>(Cfg.Sets) * Cfg.Assoc, ~0ull);
     Stamps.assign(Tags.size(), 0);
     Clock = 0;
@@ -142,9 +152,9 @@ public:
   /// (write-allocate), matching the simple Cheetah-style model.
   bool access(uint64_t Addr) {
     ++Stats.Accesses;
-    uint64_t Block = Addr / Cfg.BlockBytes;
+    uint64_t Block = Addr >> BlockShift;
     uint32_t Set = static_cast<uint32_t>(Block & (Cfg.Sets - 1));
-    uint64_t Tag = Block >> setBits();
+    uint64_t Tag = Block >> SetShift;
     uint64_t *SetTags = &Tags[static_cast<size_t>(Set) * Cfg.Assoc];
     uint64_t *SetStamps = &Stamps[static_cast<size_t>(Set) * Cfg.Assoc];
     ++Clock;
@@ -187,49 +197,88 @@ public:
   }
 
 private:
-  uint32_t setBits() const {
-    uint32_t Bits = 0;
-    for (uint32_t S = Cfg.Sets; S > 1; S >>= 1)
-      ++Bits;
-    return Bits;
-  }
-
   CacheConfig Cfg;
+  uint32_t BlockShift = 0; ///< log2(BlockBytes).
+  uint32_t SetShift = 0;   ///< log2(Sets).
   CacheStats Stats;
   std::vector<uint64_t> Tags;
   std::vector<uint64_t> Stamps;
   uint64_t Clock = 0;
 };
 
-/// Simulates a whole configuration sweep in parallel on one address stream.
+/// Simulates a whole configuration sweep in one pass over an address
+/// stream: a per-set LRU recency stack (most recent tag first) as deep as
+/// the sweep's widest configuration, and a hit count per stack depth.
+/// Every configuration must share Sets and BlockBytes.
 class MultiCacheProbe {
 public:
-  explicit MultiCacheProbe(std::vector<CacheConfig> Sweep) {
+  explicit MultiCacheProbe(const std::vector<CacheConfig> &Sweep) {
     assert(!Sweep.empty() && "empty cache sweep");
-    for (const CacheConfig &C : Sweep)
-      Caches.emplace_back(C);
+    const CacheConfig &First = Sweep.front();
+    assert(First.Sets > 0 && (First.Sets & (First.Sets - 1)) == 0 &&
+           "set count must be a power of two");
+    assert(First.BlockBytes > 0 &&
+           (First.BlockBytes & (First.BlockBytes - 1)) == 0 &&
+           "block size must be a power of two");
+    // A tag is the address shifted right by at least one bit, so it never
+    // equals the ~0ull empty-slot sentinel.
+    assert((First.Sets > 1 || First.BlockBytes > 1) &&
+           "degenerate cache sweep");
+    for (const CacheConfig &C : Sweep) {
+      assert(C.Sets == First.Sets && C.BlockBytes == First.BlockBytes &&
+             "a single-pass sweep varies associativity only");
+      assert(C.Assoc > 0 && "degenerate associativity");
+      Assocs.push_back(C.Assoc);
+      Depth = std::max(Depth, C.Assoc);
+    }
+    BlockShift = static_cast<uint32_t>(std::countr_zero(First.BlockBytes));
+    SetShift = static_cast<uint32_t>(std::countr_zero(First.Sets));
+    SetMask = First.Sets - 1;
+    Stack.assign(static_cast<size_t>(First.Sets) * Depth, ~0ull);
+    HitsAt.assign(Depth, 0);
   }
 
   void access(uint64_t Addr) {
-    for (CacheModel &C : Caches)
-      C.access(Addr);
+    ++Accesses;
+    uint64_t Block = Addr >> BlockShift;
+    uint64_t Tag = Block >> SetShift;
+    uint64_t *S = &Stack[static_cast<size_t>(Block & SetMask) * Depth];
+    uint32_t D = 0;
+    while (D < Depth && S[D] != Tag)
+      ++D;
+    if (D < Depth)
+      ++HitsAt[D];
+    else
+      D = Depth - 1; // Miss everywhere: the deepest (LRU) tag falls off.
+    for (; D > 0; --D)
+      S[D] = S[D - 1];
+    S[0] = Tag;
   }
 
-  size_t size() const { return Caches.size(); }
-  const CacheModel &cache(size_t I) const { return Caches[I]; }
-  CacheModel &cache(size_t I) { return Caches[I]; }
+  size_t size() const { return Assocs.size(); }
 
-  /// Snapshot of all per-configuration stats.
+  /// Snapshot of all per-configuration stats, in sweep order.
   std::vector<CacheStats> statsSnapshot() const {
     std::vector<CacheStats> Out;
-    Out.reserve(Caches.size());
-    for (const CacheModel &C : Caches)
-      Out.push_back(C.stats());
+    Out.reserve(Assocs.size());
+    for (uint32_t A : Assocs) {
+      uint64_t Hits = 0;
+      for (uint32_t D = 0; D < A; ++D)
+        Hits += HitsAt[D];
+      Out.push_back({Accesses, Accesses - Hits});
+    }
     return Out;
   }
 
 private:
-  std::vector<CacheModel> Caches;
+  std::vector<uint32_t> Assocs; ///< Per configuration, in sweep order.
+  uint32_t Depth = 0;           ///< Widest associativity of the sweep.
+  uint32_t BlockShift = 0;
+  uint32_t SetShift = 0;
+  uint64_t SetMask = 0;
+  std::vector<uint64_t> Stack;  ///< Sets x Depth tags, MRU first.
+  std::vector<uint64_t> HitsAt; ///< Hits found at each stack depth.
+  uint64_t Accesses = 0;
 };
 
 } // namespace spm

@@ -52,9 +52,9 @@ TEST(Cache, HigherAssocNeverMoreMissesOnSameStream) {
   Rng R(11);
   for (int I = 0; I < 200000; ++I)
     Probe.access((R.nextBelow(3000) * 64) + (1ull << 32));
-  for (size_t I = 1; I < Probe.size(); ++I)
-    EXPECT_LE(Probe.cache(I).stats().Misses,
-              Probe.cache(I - 1).stats().Misses)
+  std::vector<CacheStats> Stats = Probe.statsSnapshot();
+  for (size_t I = 1; I < Stats.size(); ++I)
+    EXPECT_LE(Stats[I].Misses, Stats[I - 1].Misses)
         << "assoc " << Sweep[I].Assoc;
 }
 
