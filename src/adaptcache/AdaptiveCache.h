@@ -16,6 +16,17 @@
 /// size (the hardware must run somewhere safe while measuring). The figure
 /// of merit is the execution-weighted average cache size.
 ///
+/// The modeled hardware serves each interval from one way-masked cache:
+/// shrinking disables ways but keeps each set's most recently used blocks,
+/// growing re-enables empty frames, nothing is flushed. Since every
+/// configuration shares sets and block size, the served cache's contents
+/// are then always a prefix of each set's recency stack in the exploration
+/// probe (uarch/Cache.h), and a served hit is exactly "found at a depth
+/// below the set's fill count". The engine keeps one fill count per set
+/// instead of simulating the served cache a second time: a served miss
+/// bumps it while it is below the served associativity, a shrink clamps it
+/// to the new associativity, a grow leaves it alone.
+///
 /// The same engine serves every policy of Fig. 10: boundaries can come from
 /// our software phase markers (self- or cross-trained, procedures-only or
 /// not), from Shen-style reuse markers, or from oracle SimPoint phase ids
@@ -31,7 +42,10 @@
 #include "uarch/Cache.h"
 #include "vm/Observer.h"
 
+#include <algorithm>
+#include <cassert>
 #include <cstdint>
+#include <limits>
 #include <unordered_map>
 #include <vector>
 
@@ -47,6 +61,13 @@ struct AdaptiveCacheResult {
 
 /// The reconfiguration engine. Register it as an observer and feed it
 /// phase-boundary events from whichever marker scheme is under test.
+///
+/// Preconditions on the sweep, asserted at construction: every
+/// configuration shares sets and block size (the probe's requirement), and
+/// associativity strictly ascends, so the last configuration is the
+/// largest (safe) one exploration runs at and the first adequate one
+/// pickBest finds is the smallest. The widest associativity must fit
+/// FillCount, the per-set fill counter's type.
 class AdaptiveCacheEngine : public ExecutionObserver {
 public:
   /// \p Tolerance: a configuration is "as good as the best" when its miss
@@ -58,10 +79,16 @@ public:
   explicit AdaptiveCacheEngine(
       std::vector<CacheConfig> Sweep = CacheConfig::reconfigSweep(),
       double Tolerance = 0.05, uint32_t ExploreIntervals = 2)
-      : Sweep(Sweep), Probe(Sweep), Serving(Sweep.back()),
+      : Sweep(Sweep), Probe(Sweep), Filled(Probe.sets(), 0),
         Tolerance(Tolerance), ExploreIntervals(ExploreIntervals) {
+    for (size_t I = 1; I < Sweep.size(); ++I)
+      assert(Sweep[I - 1].Assoc < Sweep[I].Assoc &&
+             "sweep associativity must strictly ascend");
+    assert(Sweep.back().Assoc <= std::numeric_limits<FillCount>::max() &&
+           "widest associativity overflows the per-set fill count");
     CurConfigIdx = Sweep.size() - 1; // Start at the largest (safe) size.
-    ProbeStart = Probe.statsSnapshot();
+    ServedAssoc = Sweep.back().Assoc;
+    Probe.statsInto(ProbeStart);
   }
 
   /// Minimum instructions for a boundary to end a real interval. Markers
@@ -75,13 +102,8 @@ public:
   /// \p PhaseId. Boundaries arriving within CoalesceInstrs of the previous
   /// one relabel the current interval (the later marker wins).
   void onPhaseBoundary(int32_t PhaseId) {
-    if (IntervalInstrs < CoalesceInstrs) {
-      CurPhase = PhaseId;
-      applyConfigFor(PhaseId);
-      ProbeStart = Probe.statsSnapshot();
-      return;
-    }
-    finalizeInterval();
+    if (IntervalInstrs >= CoalesceInstrs)
+      finalizeInterval();
     beginInterval(PhaseId);
   }
 
@@ -91,10 +113,14 @@ public:
 
   void onMemAccess(uint64_t Addr, bool IsStore) override {
     (void)IsStore;
-    Probe.access(Addr);
+    MultiCacheProbe::Hit H = Probe.access(Addr);
     ++ServedAccesses;
-    if (!Serving.access(Addr))
+    FillCount &F = Filled[H.Set];
+    if (H.Depth >= F) { // Below the served prefix of the recency stack.
       ++ServedMisses;
+      if (F < ServedAssoc)
+        ++F;
+    }
   }
 
   void onRunEnd(uint64_t Total) override {
@@ -133,23 +159,34 @@ private:
     std::vector<CacheStats> Aggregate; ///< Per config, explored intervals.
   };
 
+  /// Per-set count of valid served frames: the served cache holds the top
+  /// Filled[set] tags of the probe's recency stack for that set.
+  using FillCount = uint8_t;
+
   void applyConfigFor(int32_t PhaseId) {
     PhaseState &PS = Phases[PhaseId];
     Exploring = PS.BestIdx < 0;
-    if (!Exploring) {
-      CurConfigIdx = static_cast<size_t>(PS.BestIdx);
-      Serving.setAssocPreserving(Sweep[CurConfigIdx].Assoc);
-    } else {
-      // Explore at the largest (safe) configuration.
-      CurConfigIdx = Sweep.size() - 1;
-      Serving.setAssocPreserving(Sweep.back().Assoc);
-    }
+    // Explore at the largest (safe) configuration.
+    CurConfigIdx = Exploring ? Sweep.size() - 1
+                             : static_cast<size_t>(PS.BestIdx);
+    setServedAssoc(Sweep[CurConfigIdx].Assoc);
+  }
+
+  /// Way-masking reconfiguration of the served cache: a shrink keeps each
+  /// set's most recently used blocks, a grow re-enables empty frames.
+  void setServedAssoc(uint32_t Assoc) {
+    if (Assoc < ServedAssoc)
+      for (FillCount &F : Filled)
+        F = static_cast<FillCount>(std::min<uint32_t>(F, Assoc));
+    ServedAssoc = Assoc;
   }
 
   void beginInterval(int32_t PhaseId) {
     CurPhase = PhaseId;
     applyConfigFor(PhaseId);
-    ProbeStart = Probe.statsSnapshot();
+    // Only an exploring interval reads its start snapshot.
+    if (Exploring)
+      Probe.statsInto(ProbeStart);
   }
 
   void finalizeInterval() {
@@ -165,9 +202,9 @@ private:
       PhaseState &PS = Phases[CurPhase];
       if (PS.Aggregate.empty())
         PS.Aggregate.assign(Sweep.size(), CacheStats());
-      std::vector<CacheStats> Now = Probe.statsSnapshot();
+      Probe.statsInto(ProbeNow);
       for (size_t I = 0; I < Sweep.size(); ++I)
-        PS.Aggregate[I] += Now[I] - ProbeStart[I];
+        PS.Aggregate[I] += ProbeNow[I] - ProbeStart[I];
       if (++PS.Explored >= ExploreIntervals)
         PS.BestIdx = static_cast<int32_t>(pickBest(PS.Aggregate));
     }
@@ -190,7 +227,8 @@ private:
 
   std::vector<CacheConfig> Sweep;
   MultiCacheProbe Probe;
-  CacheModel Serving;
+  std::vector<FillCount> Filled; ///< Per set.
+  uint32_t ServedAssoc = 0;
   double Tolerance;
   uint32_t ExploreIntervals;
 
@@ -198,7 +236,8 @@ private:
   int32_t CurPhase = -1;
   size_t CurConfigIdx = 0;
   bool Exploring = true;
-  std::vector<CacheStats> ProbeStart;
+  std::vector<CacheStats> ProbeStart; ///< Probe stats at interval start.
+  std::vector<CacheStats> ProbeNow;   ///< Scratch for the interval end.
   uint64_t IntervalInstrs = 0;
 
   double SizeWeighted = 0.0;

@@ -97,6 +97,21 @@ private:
   uint64_t CurInstrs = 0;
 };
 
+/// Fixed-length intervals with BBVs and nothing else: the oracle policy's
+/// clustering input. Interval framing and BBVs equal runFixedIntervals'
+/// with CollectBbv, but no performance model runs, so the counters stay
+/// zero and no memory access is generated; runSimPoint reads only the
+/// vectors and lengths.
+inline std::vector<IntervalRecord>
+runFixedBbvIntervals(const Binary &B, const WorkloadInput &In,
+                     uint64_t FixedLen) {
+  SPM_TRACE_SPAN("adaptcache.oracle_bbv_pass");
+  IntervalBuilder Ivb =
+      IntervalBuilder::fixedLength(FixedLen, nullptr, /*CollectBbv=*/true);
+  Interpreter(B, In).runFast(Ivb);
+  return Ivb.takeIntervals();
+}
+
 /// Oracle SimPoint/BBV policy: cluster fixed-length BBV intervals offline,
 /// then replay with perfect next-interval phase knowledge (the paper's
 /// "ideal SimPoint-based approach", a stand-in for hardware BBV phase
@@ -107,9 +122,8 @@ runAdaptiveWithOracleBbv(const Binary &B, const WorkloadInput &In,
                          const SimPointConfig &SPConfig = SimPointConfig()) {
   SPM_TRACE_SPAN("adaptcache.oracle_policy");
   // Pass 1: collect BBVs and cluster.
-  std::vector<IntervalRecord> Ivs =
-      runFixedIntervals(B, In, FixedLen, /*CollectBbv=*/true);
-  SimPointResult SP = runSimPoint(Ivs, SPConfig);
+  SimPointResult SP =
+      runSimPoint(runFixedBbvIntervals(B, In, FixedLen), SPConfig);
 
   // Pass 2: replay deterministically, steering by the oracle phase ids.
   AdaptiveCacheEngine Engine;

@@ -22,6 +22,16 @@
 /// requires every configuration of the sweep to share the set count and
 /// block size, as reconfigSweep() does.
 ///
+/// The same stack also answers for the adaptive engine's served cache. The
+/// modeled hardware is a way-masked cache, as in selective-ways adaptive
+/// caches (Albonesi; Balasubramonian et al.): a shrink disables ways but
+/// keeps each set's most recently used blocks, a grow re-enables ways with
+/// empty frames, nothing is flushed. Under those rules a set's served
+/// contents are always a prefix of its recency stack, so
+/// MultiCacheProbe::access reports the set and depth of every access and
+/// the served cache reduces to one fill count per set (see
+/// adaptcache/AdaptiveCache.h).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SPM_UARCH_CACHE_H
@@ -115,39 +125,6 @@ public:
     configure(NewCfg);
   }
 
-  /// Way-masking reconfiguration as in selective-ways adaptive caches
-  /// (Albonesi / Balasubramonian et al., the hardware the paper's Sec. 6.1
-  /// experiment models): shrinking disables ways but keeps the most
-  /// recently used blocks of each set; growing re-enables ways with their
-  /// (invalidated) frames. No whole-cache flush.
-  void setAssocPreserving(uint32_t NewAssoc) {
-    assert(NewAssoc > 0 && "degenerate associativity");
-    if (NewAssoc == Cfg.Assoc)
-      return;
-    uint32_t OldAssoc = Cfg.Assoc;
-    std::vector<uint64_t> NewTags(static_cast<size_t>(Cfg.Sets) * NewAssoc,
-                                  ~0ull);
-    std::vector<uint64_t> NewStamps(NewTags.size(), 0);
-    uint32_t Keep = NewAssoc < OldAssoc ? NewAssoc : OldAssoc;
-    for (uint32_t Set = 0; Set < Cfg.Sets; ++Set) {
-      uint64_t *OldT = &Tags[static_cast<size_t>(Set) * OldAssoc];
-      uint64_t *OldS = &Stamps[static_cast<size_t>(Set) * OldAssoc];
-      // Select the Keep most recently used ways of this set.
-      std::vector<uint32_t> Order(OldAssoc);
-      for (uint32_t W = 0; W < OldAssoc; ++W)
-        Order[W] = W;
-      std::sort(Order.begin(), Order.end(),
-                [&](uint32_t A, uint32_t B) { return OldS[A] > OldS[B]; });
-      for (uint32_t W = 0; W < Keep; ++W) {
-        NewTags[static_cast<size_t>(Set) * NewAssoc + W] = OldT[Order[W]];
-        NewStamps[static_cast<size_t>(Set) * NewAssoc + W] = OldS[Order[W]];
-      }
-    }
-    Cfg.Assoc = NewAssoc;
-    Tags = std::move(NewTags);
-    Stamps = std::move(NewStamps);
-  }
-
   /// Simulates one access; returns true on hit. Stores allocate like loads
   /// (write-allocate), matching the simple Cheetah-style model.
   bool access(uint64_t Addr) {
@@ -212,6 +189,15 @@ private:
 /// Every configuration must share Sets and BlockBytes.
 class MultiCacheProbe {
 public:
+  /// Where one access found its block: the set, and the stack depth of the
+  /// hit (0 = most recently used), or the full stack depth (the sweep's
+  /// widest associativity) when no configuration held the block. The block
+  /// is a hit for exactly the configurations with more than Depth ways.
+  struct Hit {
+    uint32_t Set;
+    uint32_t Depth;
+  };
+
   explicit MultiCacheProbe(const std::vector<CacheConfig> &Sweep) {
     assert(!Sweep.empty() && "empty cache sweep");
     const CacheConfig &First = Sweep.front();
@@ -238,14 +224,16 @@ public:
     HitsAt.assign(Depth, 0);
   }
 
-  void access(uint64_t Addr) {
+  Hit access(uint64_t Addr) {
     ++Accesses;
     uint64_t Block = Addr >> BlockShift;
     uint64_t Tag = Block >> SetShift;
-    uint64_t *S = &Stack[static_cast<size_t>(Block & SetMask) * Depth];
+    auto Set = static_cast<uint32_t>(Block & SetMask);
+    uint64_t *S = &Stack[static_cast<size_t>(Set) * Depth];
     uint32_t D = 0;
     while (D < Depth && S[D] != Tag)
       ++D;
+    Hit H{Set, D};
     if (D < Depth)
       ++HitsAt[D];
     else
@@ -253,20 +241,29 @@ public:
     for (; D > 0; --D)
       S[D] = S[D - 1];
     S[0] = Tag;
+    return H;
   }
 
   size_t size() const { return Assocs.size(); }
+  /// Set count shared by every configuration.
+  uint32_t sets() const { return static_cast<uint32_t>(SetMask + 1); }
+
+  /// Writes all per-configuration stats, in sweep order, into \p Out
+  /// (resized to size(); no allocation once it has that capacity).
+  void statsInto(std::vector<CacheStats> &Out) const {
+    Out.resize(Assocs.size());
+    for (size_t I = 0; I < Assocs.size(); ++I) {
+      uint64_t Hits = 0;
+      for (uint32_t D = 0; D < Assocs[I]; ++D)
+        Hits += HitsAt[D];
+      Out[I] = {Accesses, Accesses - Hits};
+    }
+  }
 
   /// Snapshot of all per-configuration stats, in sweep order.
   std::vector<CacheStats> statsSnapshot() const {
     std::vector<CacheStats> Out;
-    Out.reserve(Assocs.size());
-    for (uint32_t A : Assocs) {
-      uint64_t Hits = 0;
-      for (uint32_t D = 0; D < A; ++D)
-        Hits += HitsAt[D];
-      Out.push_back({Accesses, Accesses - Hits});
-    }
+    statsInto(Out);
     return Out;
   }
 

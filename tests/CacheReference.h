@@ -9,12 +9,15 @@
 /// The plain Fig. 10 cache stack that src/uarch/Cache.h and
 /// src/adaptcache/ must reproduce bit for bit. CacheModel is the stamp-LRU
 /// cache with its former per-access block/tag arithmetic (a division and a
-/// set-bit count); MultiCacheProbe walks one such cache per configuration
-/// of the sweep; AdaptiveCacheEngine and the policy functions are the
-/// library's former bodies over these types, on the legacy Interpreter::run
-/// path through an ObserverMux. Only what the Fig. 10 policies use is kept
-/// (no checkpoint state, no chosenSizeKB). Test-only: the library keeps a
-/// single probe path, the single-pass LRU stack.
+/// set-bit count) and the way-masking reconfiguration (setAssocPreserving)
+/// that defines the adaptive engine's served cache; MultiCacheProbe walks
+/// one such cache per configuration of the sweep; AdaptiveCacheEngine and
+/// the policy functions are the library's former bodies over these types,
+/// serving from a second CacheModel, on the legacy Interpreter::run path
+/// through an ObserverMux. Only what the Fig. 10 policies use is kept (no
+/// checkpoint state, no chosenSizeKB). Test-only: the library keeps a
+/// single LRU stack per set, which answers both the probe and the served
+/// cache.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -2,11 +2,14 @@
 //
 // MultiCacheProbe answers every configuration of a sweep from one LRU
 // recency stack per set; its contract is that the per-configuration stats
-// are exactly those of one stamp-LRU cache per configuration. Every test
-// here compares it with the eight-cache probe of tests/CacheReference.h:
-// statsSnapshot() every 1000th access on random, thrashing, sequential and
-// near-2^64 streams and on the recorded ref streams of the Fig. 10
-// programs, and the Fig. 10 policy results built on top of it.
+// are exactly those of one stamp-LRU cache per configuration. The adaptive
+// engine derives its served way-masked cache from the same stack. Every
+// test here compares them with the eight-cache probe and the two-cache
+// engine of tests/CacheReference.h: statsSnapshot() every 1000th access on
+// random, thrashing, sequential and near-2^64 streams and on the recorded
+// ref streams of the Fig. 10 programs, the engine on synthetic phase
+// sequences that shrink and grow the served cache, and the Fig. 10 policy
+// results built on top of both.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -153,6 +157,121 @@ TEST(CacheProbe, SequentialSweepsAndTopOfAddressSpace) {
 
 namespace {
 
+/// One event of a synthetic adaptive-cache run.
+struct EngineEvent {
+  enum Kind : uint8_t { Boundary, Block, Mem } K;
+  uint64_t V; ///< Phase id, block instructions, or address.
+};
+
+/// A random phase sequence for a sweep of \p Sets sets and at most
+/// \p MaxWays ways. Phase P draws uniformly from Ways[P] * Sets blocks of
+/// a region of its own, so it fits exactly Ways[P] ways and locks at a
+/// size of its own (the widest phase overflows the stack, so hits land at
+/// every depth); a returning phase reuses whatever of its region the
+/// served cache kept through the shrinks and grows in between. Intervals
+/// run a few times the largest pool. About one boundary in six opens a
+/// sub-CoalesceInstrs interval and one in ten is followed at once by
+/// another boundary, so relabeling boundaries are covered too.
+std::vector<EngineEvent> phaseSequence(uint32_t Sets, uint32_t MaxWays,
+                                       uint64_t Seed) {
+  const uint32_t Ways[] = {1, (MaxWays + 1) / 2, MaxWays,
+                           MaxWays + MaxWays / 2};
+  Rng R(Seed);
+  std::vector<EngineEvent> Evs;
+  auto Step = [&](uint32_t Phase) {
+    Evs.push_back({EngineEvent::Block, 1 + R.nextBelow(20)});
+    uint64_t Pool = static_cast<uint64_t>(Ways[Phase]) * Sets;
+    uint64_t Region = (2ull + Phase) << 32;
+    Evs.push_back(
+        {EngineEvent::Mem, Region + R.nextBelow(Pool) * 64 + R.nextBelow(64)});
+  };
+  for (int I = 0; I < 48; ++I) {
+    auto Phase = static_cast<uint32_t>(R.nextBelow(4));
+    Evs.push_back({EngineEvent::Boundary, Phase});
+    if (R.nextBelow(10) == 0)
+      Evs.push_back({EngineEvent::Boundary, R.nextBelow(4)});
+    if (R.nextBelow(6) == 0) {
+      for (uint64_t N = 1 + R.nextBelow(40); N > 0; --N)
+        Step(Phase);
+      continue;
+    }
+    uint64_t Len = (2 + R.nextBelow(4)) * Sets * Ways[3];
+    for (uint64_t N = 0; N < Len; ++N)
+      Step(Phase);
+  }
+  return Evs;
+}
+
+template <class EngineT>
+AdaptiveCacheResult replayEvents(EngineT &Engine,
+                                 const std::vector<EngineEvent> &Evs) {
+  LoweredBlock Blk;
+  for (const EngineEvent &E : Evs) {
+    switch (E.K) {
+    case EngineEvent::Boundary:
+      Engine.onPhaseBoundary(static_cast<int32_t>(E.V));
+      break;
+    case EngineEvent::Block:
+      Blk.NumInstrs = static_cast<uint32_t>(E.V);
+      Engine.onBlock(Blk);
+      break;
+    case EngineEvent::Mem:
+      Engine.onMemAccess(E.V, false);
+      break;
+    }
+  }
+  Engine.onRunEnd(0);
+  return Engine.result();
+}
+
+void expectSameResult(const AdaptiveCacheResult &Got,
+                      const AdaptiveCacheResult &Want,
+                      const std::string &What) {
+  SCOPED_TRACE(What);
+  EXPECT_EQ(Got.AvgCacheKB, Want.AvgCacheKB);
+  EXPECT_EQ(Got.MissRate, Want.MissRate);
+  EXPECT_EQ(Got.Intervals, Want.Intervals);
+  EXPECT_EQ(Got.Explorations, Want.Explorations);
+}
+
+} // namespace
+
+TEST(CacheProbe, EngineMatchesTwoCacheReference) {
+  const std::vector<std::vector<CacheConfig>> Sweeps = {
+      CacheConfig::reconfigSweep(), waysOf(16, {1, 2, 3, 4}),
+      waysOf(1, {1, 2, 3, 4, 5, 6, 7, 8})};
+  for (const std::vector<CacheConfig> &Sweep : Sweeps) {
+    for (uint64_t Seed : {1ull, 2ull}) {
+      std::vector<EngineEvent> Evs =
+          phaseSequence(Sweep.front().Sets, Sweep.back().Assoc, Seed);
+      for (double Tol : {0.0, 0.05}) {
+        for (uint32_t Explore : {1u, 2u}) {
+          std::string What = std::to_string(Sweep.front().Sets) + " sets, " +
+                             "seed " + std::to_string(Seed) + ", tolerance " +
+                             std::to_string(Tol) + ", explore " +
+                             std::to_string(Explore);
+          AdaptiveCacheEngine Engine(Sweep, Tol, Explore);
+          ref::AdaptiveCacheEngine Ref(Sweep, Tol, Explore);
+          expectSameResult(replayEvents(Engine, Evs), replayEvents(Ref, Evs),
+                           What);
+          // The phases must lock at different sizes, or the served cache
+          // never shrinks and grows between them.
+          std::vector<double> Locked;
+          for (int32_t P = 0; P < 4; ++P)
+            Locked.push_back(Engine.chosenSizeKB(P));
+          std::sort(Locked.begin(), Locked.end());
+          EXPECT_GE(std::unique(Locked.begin(), Locked.end()) -
+                        Locked.begin(),
+                    3)
+              << What;
+        }
+      }
+    }
+  }
+}
+
+namespace {
+
 /// The seven Fig. 10 programs: the reconfiguration suite plus the two
 /// Sec. 6.1 in-text columns.
 std::vector<std::string> fig10Programs() {
@@ -169,16 +288,6 @@ struct StreamRecorder {
     Out->push_back(Addr);
   }
 };
-
-void expectSameResult(const AdaptiveCacheResult &Got,
-                      const AdaptiveCacheResult &Want,
-                      const std::string &What) {
-  SCOPED_TRACE(What);
-  EXPECT_EQ(Got.AvgCacheKB, Want.AvgCacheKB);
-  EXPECT_EQ(Got.MissRate, Want.MissRate);
-  EXPECT_EQ(Got.Intervals, Want.Intervals);
-  EXPECT_EQ(Got.Explorations, Want.Explorations);
-}
 
 } // namespace
 
@@ -228,6 +337,40 @@ TEST(CacheProbe, Fig10PolicyResults) {
     EXPECT_EQ(flat(Got.PerConfig), flat(Want.PerConfig));
     EXPECT_EQ(Got.BestIdx, Want.BestIdx);
     EXPECT_EQ(Got.BestFixedKB, Want.BestFixedKB);
+  }
+}
+
+TEST(CacheProbe, OracleBbvIntervalsUnchanged) {
+  // The oracle policy clusters BBV-only intervals; framing, vectors and
+  // the clustering must equal those of the full fixed-interval pipeline.
+  for (const std::string &Name : fig10Programs()) {
+    SCOPED_TRACE(Name);
+    Workload W = WorkloadRegistry::create(Name);
+    std::unique_ptr<Binary> Bin = lower(*W.Program, LoweringOptions::O2());
+    std::vector<IntervalRecord> Got =
+        runFixedBbvIntervals(*Bin, W.Ref, bench::FixedBbvInterval);
+    std::vector<IntervalRecord> Want = runFixedIntervals(
+        *Bin, W.Ref, bench::FixedBbvInterval, /*CollectBbv=*/true);
+    ASSERT_EQ(Got.size(), Want.size());
+    for (size_t I = 0; I < Got.size(); ++I) {
+      EXPECT_EQ(Got[I].StartInstr, Want[I].StartInstr) << I;
+      EXPECT_EQ(Got[I].NumInstrs, Want[I].NumInstrs) << I;
+      EXPECT_EQ(Got[I].NumBlocks, Want[I].NumBlocks) << I;
+      EXPECT_EQ(Got[I].NumMem, Want[I].NumMem) << I;
+      EXPECT_EQ(Got[I].PhaseId, Want[I].PhaseId) << I;
+      EXPECT_EQ(Got[I].Vector, Want[I].Vector) << I;
+    }
+    SimPointResult GotSP = runSimPoint(Got, SimPointConfig());
+    SimPointResult WantSP = runSimPoint(Want, SimPointConfig());
+    EXPECT_EQ(GotSP.K, WantSP.K);
+    EXPECT_EQ(GotSP.Assign, WantSP.Assign);
+    ASSERT_EQ(GotSP.Points.size(), WantSP.Points.size());
+    for (size_t I = 0; I < GotSP.Points.size(); ++I) {
+      EXPECT_EQ(GotSP.Points[I].Cluster, WantSP.Points[I].Cluster) << I;
+      EXPECT_EQ(GotSP.Points[I].IntervalIdx, WantSP.Points[I].IntervalIdx)
+          << I;
+      EXPECT_EQ(GotSP.Points[I].Weight, WantSP.Points[I].Weight) << I;
+    }
   }
 }
 
