@@ -197,9 +197,9 @@ struct SuiteRow {
 inline SuiteRow computeSuiteRow(const std::string &Name) {
   SuiteRow Row;
   Prepared P = prepare(Name);
-  ExecutionObserver Nop1, Nop2;
-  RunResult Train = Interpreter(*P.Bin, P.W.Train).run(Nop1);
-  RunResult Ref = Interpreter(*P.Bin, P.W.Ref).run(Nop2);
+  ExecutionObserver Nop;
+  RunResult Train = Interpreter(*P.Bin, P.W.Train).runFast(Nop);
+  RunResult Ref = Interpreter(*P.Bin, P.W.Ref).runFast(Nop);
 
   SelectionResult Sel = selectMarkers(*P.GTrain, noLimitConfig());
   MarkerRun R = runMarkerIntervals(*P.Bin, P.Loops, *P.GTrain, Sel.Markers,

@@ -92,7 +92,7 @@ void BM_InterpreterRaw(benchmark::State &State) {
   for (auto _ : State) {
     ExecutionObserver Nop;
     Interpreter Interp(*B, W.Train);
-    RunResult R = Interp.run(Nop);
+    RunResult R = Interp.runFast(Nop);
     Instrs += R.TotalInstrs;
   }
   State.SetItemsProcessed(static_cast<int64_t>(Instrs));

@@ -53,13 +53,10 @@ int main() {
   } Count;
   InstrSoFar = &Count.Instrs;
 
-  ObserverMux Mux;
-  Mux.add(&Count);
-  Mux.add(&Tracker);
-  Mux.add(&Sampler);
-  Mux.add(&Perf);
+  StaticMux<Counter, CallLoopTracker, IntervalBuilder, PerfModel> Mux(
+      Count, Tracker, Sampler, Perf);
   Interpreter Interp(*P.Bin, P.W.Ref);
-  Run = Interp.run(Mux);
+  Run = Interp.runFast(Mux);
 
   // Metric series, bucketed for readability (the CSV-ready fine series is
   // the samples themselves; print every Nth).

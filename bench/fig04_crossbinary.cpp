@@ -54,12 +54,9 @@ int main() {
   Runtime.setCallback(
       [&](int32_t Idx) { Events.push_back({Count.Instrs, Idx}); });
 
-  ObserverMux Mux;
-  Mux.add(&Count);
-  Mux.add(&Tracker);
-  Mux.add(&Sampler);
-  Mux.add(&Perf);
-  Interpreter(*B2, W.Ref).run(Mux);
+  StaticMux<Counter, CallLoopTracker, IntervalBuilder, PerfModel> Mux(
+      Count, Tracker, Sampler, Perf);
+  Interpreter(*B2, W.Ref).runFast(Mux);
 
   std::printf("O2 DL1 miss-rate series (every 8th 2K sample) with marker "
               "positions:\n");

@@ -67,7 +67,9 @@ struct AdaptiveCacheResult {
 /// associativity strictly ascends, so the last configuration is the
 /// largest (safe) one exploration runs at and the first adequate one
 /// pickBest finds is the smallest. The widest associativity must fit
-/// FillCount, the per-set fill counter's type.
+/// FillCount, the per-set fill counter's type. The asserts run in the
+/// asan-ubsan preset, which builds without -DNDEBUG; every other preset
+/// compiles them out.
 class AdaptiveCacheEngine : public ExecutionObserver {
 public:
   /// \p Tolerance: a configuration is "as good as the best" when its miss

@@ -85,8 +85,8 @@ runMarkerIntervals(const Binary &B, const LoopIndex &Loops,
       Out.Firings.push_back(Idx);
   });
 
-  // Declaration order is the fan-out order, same contract as ObserverMux:
-  // tracker fires markers first, so cuts precede interval accounting,
+  // Declaration order is the fan-out order (see StaticMux): the tracker
+  // fires markers first, so cuts precede interval accounting,
   // which precedes counter updates.
   StaticMux<CallLoopTracker, IntervalBuilder, PerfModel> Mux(Tracker, Ivb,
                                                              Perf);
@@ -111,8 +111,7 @@ buildCallLoopGraphs(const Binary &B, const LoopIndex &Loops,
     // module may back all concurrent runs; its verification memo makes the
     // per-run verify a single atomic load after the first.
     return buildCallLoopGraph(B, Loops, *Inputs[I],
-                              std::numeric_limits<uint64_t>::max(),
-                              /*Extra=*/nullptr, Bc);
+                              std::numeric_limits<uint64_t>::max(), Bc);
   });
 }
 

@@ -83,7 +83,7 @@ public:
 
 /// Segment end positions (cumulative instruction counts) for an N-shard
 /// split. Until.size() == N; the last entry is the caller's original
-/// MaxInstrs so the final shard terminates exactly as run() would.
+/// MaxInstrs so the final shard terminates exactly as runFast() would.
 struct ShardPlan {
   std::vector<uint64_t> Until;
 };
@@ -186,8 +186,7 @@ inline std::unique_ptr<CallLoopGraph> buildCallLoopGraphSharded(
     const ShardRetryPolicy &Retry = ShardRetryPolicy()) {
   if (NShards <= 1) {
     auto T0 = std::chrono::steady_clock::now();
-    auto G = buildCallLoopGraph(B, Loops, In, MaxInstrs, /*Extra=*/nullptr,
-                                Bc);
+    auto G = buildCallLoopGraph(B, Loops, In, MaxInstrs, Bc);
     if (ShardSeconds)
       ShardSeconds->push_back(detail::secondsSince(T0));
     return G;
@@ -239,7 +238,7 @@ inline std::unique_ptr<CallLoopGraph> buildCallLoopGraphSharded(
                                     Plan.Until[S]);
     }
     if (S + 1 == NShards)
-      Tracker.onRunEnd(R.TotalInstrs); // Pop-all, as run() does.
+      Tracker.onRunEnd(R.TotalInstrs); // Pop-all, as runFast() does.
     O->Log = std::move(Log.Log);
     O->Sec = detail::secondsSince(T0);
     return O;

@@ -13,8 +13,8 @@
 /// block's instruction count (Sec. 2.2) — and the performance-counter delta
 /// the phase metrics consume.
 ///
-/// Event ordering contract: the call-loop tracker must be registered on the
-/// ObserverMux *before* the IntervalBuilder, and the PerfModel *after* it.
+/// Event ordering contract: the call-loop tracker must be listed in the
+/// StaticMux *before* the IntervalBuilder, and the PerfModel *after* it.
 /// Marker firings then request a cut before the new interval's first block
 /// is accounted anywhere, so interval boundaries are exact.
 ///

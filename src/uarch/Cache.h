@@ -118,13 +118,6 @@ public:
     Clock = 0;
   }
 
-  /// Changes associativity only (the Sec. 6.1 reconfiguration) and flushes.
-  void setAssoc(uint32_t Assoc) {
-    CacheConfig NewCfg = Cfg;
-    NewCfg.Assoc = Assoc;
-    configure(NewCfg);
-  }
-
   /// Simulates one access; returns true on hit. Stores allocate like loads
   /// (write-allocate), matching the simple Cheetah-style model.
   bool access(uint64_t Addr) {

@@ -9,7 +9,7 @@
 /// The bytecode execution tier: a Binary's recursive exec tree lowered to a
 /// flat, cache-dense op array that the interpreter dispatches with a plain
 /// PC loop instead of a tree walk. The event stream an observer sees is
-/// byte-identical to run()/runFast() by construction — the bytecode encodes
+/// byte-identical to runFast() by construction — the bytecode encodes
 /// the *same* visit order, RNG-draw order, and per-site cursor usage; only
 /// the control-flow machinery (recursion, child vectors, per-node switch)
 /// is replaced. Differential fuzz suites in tests/bytecodefuzz_test.cpp

@@ -27,7 +27,6 @@
 #include "support/Trace.h"
 #include "vm/Bytecode.h"
 #include "vm/Checkpoint.h"
-#include "vm/EventBatch.h"
 #include "vm/Observer.h"
 
 #include <algorithm>
@@ -65,9 +64,9 @@ inline void recordRunMetrics(const char *RunCounter, const RunResult &R) {
 
 } // namespace vm_detail
 
-/// Emitter policy for the devirtualized direct path (runFast): every event
-/// dispatches statically into the concrete observer, unbuffered. A block's
-/// memory accesses are staged in a small reused buffer so observers with an
+/// The emitter behind every run entry point: each event dispatches
+/// statically into the concrete observer, unbuffered. A block's memory
+/// accesses are staged in a small reused buffer so observers with an
 /// onMemRun handler still receive them as one bulk record.
 template <class ObsT> struct StaticEmitter {
   ObsT &Obs;
@@ -101,7 +100,10 @@ template <class ObsT> struct StaticEmitter {
   void ret(uint32_t Callee) { dispatchReturn(Obs, Callee); }
 };
 
-/// The interpreter. Construct once per (binary, input) pair and call run().
+/// The interpreter. Construct once per (binary, input) pair and call one run
+/// entry point: runFast (the exec-tree walk, the reference tier) or
+/// runBytecode (the flat dispatch loop over a compiled, optionally fused
+/// module), or their segment twins for sharded interpretation.
 class Interpreter {
 public:
   /// Maximum dynamic call depth; probability-guarded recursion deeper than
@@ -109,35 +111,17 @@ public:
   /// on in tests).
   static constexpr unsigned MaxCallDepth = 256;
 
-  /// Events buffered between flushes on the batched paths. Large enough to
-  /// amortize the per-flush indirect call, small enough to stay cache-
-  /// resident. A batch may exceed this by one block's worth of events (the
-  /// flush check sits at safe points only).
-  static constexpr size_t BatchEvents = 4096;
-
   Interpreter(const Binary &B, const WorkloadInput &In);
 
-  /// Runs to completion or until \p MaxInstrs retire. Returns the summary.
-  /// Legacy engine: one virtual call per event, in stream order.
-  RunResult run(ExecutionObserver &Obs,
-                uint64_t MaxInstrs = std::numeric_limits<uint64_t>::max());
-
-  /// Batched engine, dynamic dispatch: fills an EventBatch and flushes it
-  /// through the virtual onEvents hook every ~BatchEvents events. With the
-  /// default onEvents the observer sees a per-event stream identical to
-  /// run(), including ObserverMux interleaving.
-  RunResult
-  runBatched(ExecutionObserver &Obs,
-             uint64_t MaxInstrs = std::numeric_limits<uint64_t>::max());
-
-  /// Devirtualized engine: the exec tree emits every event directly into
-  /// the concrete observer \p Obs with zero virtual calls and zero
-  /// buffering — handler calls bind statically and handlers \p Obs never
-  /// overrides vanish at compile time (memory events are then not even
-  /// materialized; see skipAccesses). \p Obs may be any type with (a
-  /// subset of) the ExecutionObserver handler signatures — a concrete
-  /// observer, a StaticMux, or a plain struct; ObsT must be its
-  /// most-derived type.
+  /// Runs to completion or until \p MaxInstrsIn retire and returns the
+  /// summary. The exec tree walk, and the reference oracle every other
+  /// tier is held to: it emits each event directly into the concrete
+  /// observer \p Obs with zero virtual calls and zero buffering — handler
+  /// calls bind statically and handlers \p Obs never overrides vanish at
+  /// compile time (memory events are then not even materialized; see
+  /// skipAccesses). \p Obs may be any type with (a subset of) the
+  /// ExecutionObserver handler signatures — a concrete observer, a
+  /// StaticMux, or a plain struct; ObsT must be its most-derived type.
   template <class ObsT>
   RunResult runFast(ObsT &Obs,
                     uint64_t MaxInstrsIn =
@@ -156,7 +140,7 @@ public:
   /// Bytecode engine: dispatches a compiled module with a flat PC loop
   /// instead of the exec-tree walk, emitting through the same StaticEmitter
   /// so any runFast-compatible observer works unchanged. The event stream
-  /// is byte-identical to run()/runFast() by construction — identical visit
+  /// is byte-identical to runFast() by construction — identical visit
   /// order, RNG-draw order, and per-site cursor usage. \p M must have been
   /// compiled from this interpreter's binary; a module that fails verify()
   /// is rejected with std::invalid_argument before any event is emitted.
@@ -191,13 +175,13 @@ public:
   // checkpoint); HitInstrLimit refers to this segment's boundary only.
   //
   // Bit-exactness contract: for any boundary sequence, concatenating the
-  // event streams of the chained segments reproduces run()'s stream
+  // event streams of the chained segments reproduces runFast()'s stream
   // byte-for-byte. Decisions drawn before the boundary travel in the
   // checkpoint's resume frames; decisions after it re-draw from the
   // restored RNG state at the same position in the draw sequence.
   //===--------------------------------------------------------------------===//
 
-  /// Devirtualized segment (StaticEmitter, like runFast).
+  /// Tree-walk segment (the segment twin of runFast).
   template <class ObsT>
   RunResult runFastSegment(ObsT &Obs, const InterpCheckpoint *From,
                            uint64_t UntilInstrs,
@@ -206,16 +190,12 @@ public:
     return segmentT(E, From, UntilInstrs, Out);
   }
 
-  /// Virtual-dispatch segment (DirectEmitter, like run()).
-  RunResult runSegment(ExecutionObserver &Obs, const InterpCheckpoint *From,
-                       uint64_t UntilInstrs, InterpCheckpoint *Out = nullptr);
-
   /// Bytecode segment (same contract as runFastSegment). Safepoints sit at
   /// block boundaries: a suspension maps the bytecode PC plus the runtime
   /// loop/call stacks back to the exact ResumeFrame stack the tree walk
   /// would capture, so checkpoints are interchangeable between tiers — a
-  /// segment suspended here resumes under runFastSegment/runSegment and
-  /// vice versa, with the concatenated streams byte-identical.
+  /// segment suspended here resumes under runFastSegment and vice versa,
+  /// with the concatenated streams byte-identical.
   template <class ObsT>
   RunResult runBytecodeSegment(const BytecodeModule &M, ObsT &Obs,
                                const InterpCheckpoint *From,
@@ -243,15 +223,9 @@ private:
   static constexpr uint64_t DataBase = 1ull << 32;
   static constexpr uint64_t RegionSpacing = 1ull << 30;
 
-  /// Runs the batched engine against a type-erased sink (one indirect call
-  /// per flush). Both runBatched and runFast funnel through here.
-  RunResult runBatchedSink(const BatchSink &Sink, uint64_t MaxInstrs);
-
-  // The single exec tree, parameterized over an event-emitter policy so the
-  // engine variants cannot drift apart. Emit is DirectEmitter (immediate
-  // virtual calls) or BatchEmitter (EventBatch append + flush), both in
-  // Interpreter.cpp, or StaticEmitter above. Defined after the class so
-  // every instantiation inlines fully.
+  // The single exec tree, parameterized over the emitter (StaticEmitter
+  // above) so every observer type gets its own fully inlined instantiation.
+  // Defined after the class.
   template <class Emit>
   bool execFunctionT(uint32_t FuncId, unsigned Depth, Emit &E);
   /// Executes Nodes[First..), capturing the failing child index on budget
@@ -370,7 +344,7 @@ private:
   // reverses). All helpers return false so capture sites read
   // `return capX(...)`. Cost on the hot path is zero — these run only on
   // the rare budget-exhausted unwind, and not at all when Capture is null
-  // (run/runBatched/runFast never set it).
+  // (runFast never sets it).
   bool capFunc(uint32_t FuncId, uint8_t Step) {
     if (Capture)
       Capture->push_back(
@@ -449,9 +423,9 @@ private:
 };
 
 //===----------------------------------------------------------------------===//
-// Exec tree (shared by all engines) — header-inline so every emitter
-// instantiation, including runFast's per-observer ones, compiles into its
-// caller with full inlining of the evaluators below.
+// Exec tree (shared by runFast and runFastSegment) — header-inline so every
+// per-observer instantiation compiles into its caller with full inlining of
+// the evaluators below.
 //===----------------------------------------------------------------------===//
 
 inline uint64_t Interpreter::genAddress(const MemAccessSpec &M,

@@ -13,8 +13,8 @@
 /// that defines the adaptive engine's served cache; MultiCacheProbe walks
 /// one such cache per configuration of the sweep; AdaptiveCacheEngine and
 /// the policy functions are the library's former bodies over these types,
-/// serving from a second CacheModel, on the legacy Interpreter::run path
-/// through an ObserverMux. Only what the Fig. 10 policies use is kept (no
+/// serving from a second CacheModel, driven by Interpreter::runFast through
+/// a StaticMux. Only what the Fig. 10 policies use is kept (no
 /// checkpoint state, no chosenSizeKB). Test-only: the library keeps a
 /// single LRU stack per set, which answers both the probe and the served
 /// cache.
@@ -293,11 +293,9 @@ runAdaptiveWithMarkers(const Binary &B, const LoopIndex &Loops,
   Runtime.setCallback(
       [&](int32_t Idx) { Engine.onPhaseBoundary(Idx); });
 
-  ObserverMux Mux;
-  Mux.add(&Tracker);
-  Mux.add(&Engine);
+  StaticMux<CallLoopTracker, AdaptiveCacheEngine> Mux(Tracker, Engine);
   Interpreter Interp(B, In);
-  Interp.run(Mux);
+  Interp.runFast(Mux);
   return Engine.result();
 }
 
@@ -309,11 +307,9 @@ runAdaptiveWithReuseMarkers(const Binary &B, const ReuseMarkerSet &M,
   Runtime.setCallback(
       [&](int32_t Idx) { Engine.onPhaseBoundary(Idx); });
 
-  ObserverMux Mux;
-  Mux.add(&Runtime);
-  Mux.add(&Engine);
+  StaticMux<ReuseMarkerRuntime, AdaptiveCacheEngine> Mux(Runtime, Engine);
   Interpreter Interp(B, In);
-  Interp.run(Mux);
+  Interp.runFast(Mux);
   return Engine.result();
 }
 
@@ -358,11 +354,9 @@ runAdaptiveWithOracleBbv(const Binary &B, const WorkloadInput &In,
 
   AdaptiveCacheEngine Engine;
   OracleBoundaryDriver Driver(Engine, FixedLen, SP.Assign);
-  ObserverMux Mux;
-  Mux.add(&Driver);
-  Mux.add(&Engine);
+  StaticMux<OracleBoundaryDriver, AdaptiveCacheEngine> Mux(Driver, Engine);
   Interpreter Interp(B, In);
-  Interp.run(Mux);
+  Interp.runFast(Mux);
   return Engine.result();
 }
 
@@ -383,7 +377,7 @@ bestFixedSize(const Binary &B, const WorkloadInput &In,
 
   ProbeObserver Obs(Sweep);
   Interpreter Interp(B, In);
-  Interp.run(Obs);
+  Interp.runFast(Obs);
 
   FixedSizeResult R;
   R.PerConfig = Obs.Probe.statsSnapshot();

@@ -2,8 +2,8 @@
 //
 // The one program-comparison toolkit for every differential suite: the
 // bytecode fuzz (bytecodefuzz_test.cpp) and the CFG import fuzz
-// (cfgfuzz_test.cpp) both drive generated programs through all four
-// execution tiers — tree walk, devirtualized runFast, plain bytecode,
+// (cfgfuzz_test.cpp) both drive generated programs through all three
+// execution tiers — the runFast tree walk (the reference), plain bytecode,
 // fused bytecode — and assert byte-identical event streams, run totals,
 // interval records, and cache counters with these helpers. Keeping them
 // in one header means a new artifact comparison lands in every fuzz leg
@@ -114,27 +114,24 @@ public:
 /// Event-less observer for runs where only the checkpoint matters.
 struct NullObs {};
 
-/// Runs the full four-tier stream differential on one (program, input)
-/// pair: tree walk, devirtualized walk, plain bytecode, and fused
+/// Runs the full three-tier stream differential on one (program, input)
+/// pair: the runFast tree walk as the reference, plain bytecode, and fused
 /// bytecode (superops + tapes). The modules must be compiled and verified
 /// by the caller.
 inline void diffOneProgram(const Binary &B, const BytecodeModule &M,
                            const BytecodeModule &F, const WorkloadInput &In,
                            const std::string &Ctx,
                            uint64_t Cap = FuzzCap) {
-  RecordingObserver Legacy, Fast, Bc, Fz;
-  RunResult R1 = Interpreter(B, In).run(Legacy, Cap);
-  RunResult R2 = Interpreter(B, In).runFast(Fast, Cap);
-  RunResult R3 = Interpreter(B, In).runBytecode(M, Bc, Cap);
-  RunResult R4 = Interpreter(B, In).runBytecode(F, Fz, Cap);
-  expectSameRun(R1, R2, Ctx + " (fast)");
-  expectSameRun(R1, R3, Ctx + " (bytecode)");
-  expectSameRun(R1, R4, Ctx + " (fused)");
-  ASSERT_EQ(Legacy.Events.size(), Bc.Events.size()) << Ctx;
-  ASSERT_EQ(Legacy.Events.size(), Fz.Events.size()) << Ctx;
-  EXPECT_TRUE(Legacy.Events == Fast.Events) << Ctx << " (fast)";
-  EXPECT_TRUE(Legacy.Events == Bc.Events) << Ctx << " (bytecode)";
-  EXPECT_TRUE(Legacy.Events == Fz.Events) << Ctx << " (fused)";
+  RecordingObserver Tree, Bc, Fz;
+  RunResult R1 = Interpreter(B, In).runFast(Tree, Cap);
+  RunResult R2 = Interpreter(B, In).runBytecode(M, Bc, Cap);
+  RunResult R3 = Interpreter(B, In).runBytecode(F, Fz, Cap);
+  expectSameRun(R1, R2, Ctx + " (bytecode)");
+  expectSameRun(R1, R3, Ctx + " (fused)");
+  ASSERT_EQ(Tree.Events.size(), Bc.Events.size()) << Ctx;
+  ASSERT_EQ(Tree.Events.size(), Fz.Events.size()) << Ctx;
+  EXPECT_TRUE(Tree.Events == Bc.Events) << Ctx << " (bytecode)";
+  EXPECT_TRUE(Tree.Events == Fz.Events) << Ctx << " (fused)";
 }
 
 /// Marker-pipeline identity across the three instrumented tiers (runFast,
@@ -147,8 +144,8 @@ inline void expectMarkerIdentity(const Binary &B, const BytecodeModule &M,
                                  const std::string &Ctx) {
   LoopIndex Loops = LoopIndex::build(B);
   auto GFast = buildCallLoopGraph(B, Loops, In, Cap);
-  auto GPlain = buildCallLoopGraph(B, Loops, In, Cap, nullptr, &M);
-  auto GFused = buildCallLoopGraph(B, Loops, In, Cap, nullptr, &F);
+  auto GPlain = buildCallLoopGraph(B, Loops, In, Cap, &M);
+  auto GFused = buildCallLoopGraph(B, Loops, In, Cap, &F);
   EXPECT_EQ(printGraph(*GFast), printGraph(*GPlain)) << Ctx << " (bytecode)";
   EXPECT_EQ(printGraph(*GFast), printGraph(*GFused)) << Ctx << " (fused)";
 

@@ -52,7 +52,7 @@ constexpr uint64_t NumPrograms = 200;
 
 // 200 generated programs x 2 input seeds: the event stream (blocks with
 // addresses, memory accesses, branches with direction, calls, returns)
-// must be byte-identical across all four tiers, on completed and
+// must be byte-identical across all three tiers, on completed and
 // cap-truncated runs alike. The fused leg replays precompiled tapes for
 // the straight-line and constant-trip regions, so a single reordered or
 // dropped event — or a wrong RNG draw order at a tape boundary — fails
@@ -83,7 +83,7 @@ TEST(BytecodeFuzz, EventStreamDifferential) {
 }
 
 // Cache counters (the observer with the most derived per-event state) on a
-// standalone PerfModel across all four tiers. PerfModel wants memory
+// standalone PerfModel across all three tiers. PerfModel wants memory
 // events, so the fused leg exercises the tape path that regenerates every
 // address instead of bulk-advancing cursors.
 TEST(BytecodeFuzz, CacheCounterDifferential) {
@@ -95,17 +95,14 @@ TEST(BytecodeFuzz, CacheCounterDifferential) {
     WorkloadInput In = irgen::makeInput(Seed);
     std::string Ctx = "program " + std::to_string(Seed);
 
-    PerfModel P1, P2, P3, P4;
-    RunResult R1 = Interpreter(*B, In).run(P1, FuzzCap);
-    RunResult R2 = Interpreter(*B, In).runFast(P2, FuzzCap);
-    RunResult R3 = Interpreter(*B, In).runBytecode(M, P3, FuzzCap);
-    RunResult R4 = Interpreter(*B, In).runBytecode(F, P4, FuzzCap);
-    expectSameRun(R1, R2, Ctx + " (fast)");
-    expectSameRun(R1, R3, Ctx + " (bytecode)");
-    expectSameRun(R1, R4, Ctx + " (fused)");
-    expectSameCounters(P1.counters(), P2.counters(), Ctx + " (fast)");
-    expectSameCounters(P1.counters(), P3.counters(), Ctx + " (bytecode)");
-    expectSameCounters(P1.counters(), P4.counters(), Ctx + " (fused)");
+    PerfModel P1, P2, P3;
+    RunResult R1 = Interpreter(*B, In).runFast(P1, FuzzCap);
+    RunResult R2 = Interpreter(*B, In).runBytecode(M, P2, FuzzCap);
+    RunResult R3 = Interpreter(*B, In).runBytecode(F, P3, FuzzCap);
+    expectSameRun(R1, R2, Ctx + " (bytecode)");
+    expectSameRun(R1, R3, Ctx + " (fused)");
+    expectSameCounters(P1.counters(), P2.counters(), Ctx + " (bytecode)");
+    expectSameCounters(P1.counters(), P3.counters(), Ctx + " (fused)");
   }
 }
 
@@ -125,10 +122,8 @@ TEST(BytecodeFuzz, GraphDumpDifferential) {
 
     BytecodeModule F = fuseBytecode(*B, M);
     auto GTree = buildCallLoopGraph(*B, Loops, In, FuzzCap);
-    auto GBc = buildCallLoopGraph(*B, Loops, In, FuzzCap,
-                                  /*Extra=*/nullptr, &M);
-    auto GFz = buildCallLoopGraph(*B, Loops, In, FuzzCap,
-                                  /*Extra=*/nullptr, &F);
+    auto GBc = buildCallLoopGraph(*B, Loops, In, FuzzCap, &M);
+    auto GFz = buildCallLoopGraph(*B, Loops, In, FuzzCap, &F);
     EXPECT_EQ(printGraph(*GTree), printGraph(*GBc))
         << "program " << Seed;
     EXPECT_EQ(printGraph(*GTree), printGraph(*GFz))

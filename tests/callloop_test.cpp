@@ -108,7 +108,7 @@ TEST(CallLoop, RootEdgeCarriesWholeProgram) {
   // Re-run to get the true total.
   Interpreter Interp(*S.Bin, WorkloadInput("t", 1));
   ExecutionObserver Nop;
-  RunResult R = Interp.run(Nop);
+  RunResult R = Interp.runFast(Nop);
   EXPECT_DOUBLE_EQ(RootE->Hier.mean(), static_cast<double>(R.TotalInstrs));
 }
 

@@ -8,8 +8,8 @@
 // ids, degenerate shapes) are parsed, imported, lowered, and driven through
 // every execution tier. The legs:
 //
-//  * Event-stream differential: each imported program runs on all four
-//    tiers (tree walk, runFast, plain bytecode, fused bytecode) with
+//  * Event-stream differential: each imported program runs on all three
+//    tiers (runFast tree walk, plain bytecode, fused bytecode) with
 //    byte-identical event streams and run totals.
 //  * Artifact differential: the call-loop graph dump, fixed-interval
 //    records, marker intervals, and marker firing traces agree across the
@@ -21,7 +21,7 @@
 //    (the canonical dump re-imports to the byte-identical dump).
 //  * Irreducible injection: graphs with a second loop entry are rejected
 //    with cfg[irreducible] by default and legalized by node splitting when
-//    enabled, after which the split program passes the four-tier
+//    enabled, after which the split program passes the three-tier
 //    differential too.
 //
 // Every graph and input is a pure function of the loop indices, so any
@@ -189,7 +189,7 @@ TEST(CfgFuzz, DumpFixpoint) {
 
 // Irreducible injection: a second entry into a loop body must be rejected
 // by name, and node splitting must legalize exactly that shape into a
-// program that still agrees across all four tiers.
+// program that still agrees across all three tiers.
 TEST(CfgFuzz, IrreducibleInjection) {
   cfggen::Options GO;
   GO.InjectIrreducible = true;

@@ -1,12 +1,14 @@
-//===- tests/engine_test.cpp - batched engine differential tests ----------==//
+//===- tests/engine_test.cpp - observer-stack differential tests ----------==//
 //
-// Proves the batched event-stream engine (runBatched / runFast) produces
-// output byte-identical to the legacy per-event-virtual-call path (run) on
-// real workloads, across every derived artifact the pipeline computes:
-// call-loop graph dumps, fixed-interval BBV streams, marker interval
-// streams, and cache statistics. Also covers the ObserverMux/StaticMux
-// ordering guarantee under batching and the zero-weight call-candidate
-// fallback.
+// Proves the production drivers (setProfileTarget, runFixedIntervals,
+// runMarkerIntervals) produce output byte-identical to hand-wired reference
+// observer stacks on real workloads, across every derived artifact the
+// pipeline computes: call-loop graph dumps, fixed-interval BBV streams,
+// marker interval streams, and cache statistics. The reference stacks take
+// the slow road on purpose: profiling through a TrackerListener, and cache
+// simulation fed one access at a time instead of in bulk runs. Also covers
+// the StaticMux ordering guarantee, mem-event skipping, and the zero-weight
+// call-candidate fallback.
 //
 //===----------------------------------------------------------------------==//
 
@@ -27,9 +29,9 @@ using namespace spm;
 
 namespace {
 
-/// Instruction cap: large enough to exercise thousands of batch flushes,
-/// small enough to keep the suite fast. Deliberately truncates every
-/// workload mid-run so the differential also covers limit-hit paths.
+/// Instruction cap: large enough to cover millions of events, small enough
+/// to keep the suite fast. Deliberately truncates every workload mid-run so
+/// the differential also covers limit-hit paths.
 constexpr uint64_t Cap = 1'500'000;
 
 /// First three registry workloads, each at its ref seed and a perturbed
@@ -90,16 +92,29 @@ void expectSameRun(const RunResult &A, const RunResult &B,
   EXPECT_EQ(A.HitInstrLimit, B.HitInstrLimit) << Ctx;
 }
 
+/// Feeds a PerfModel one access at a time through onMemAccess, never the
+/// bulk onMemRun the drivers use, so the reference stacks below also hold
+/// the two delivery forms to identical counters.
+struct PerAccessPerf {
+  PerfModel &P;
+  void onBlock(const LoweredBlock &Blk) { P.onBlock(Blk); }
+  void onMemAccess(uint64_t Addr, bool IsStore) {
+    P.onMemAccess(Addr, IsStore);
+  }
+  void onBranch(uint64_t Pc, uint64_t Target, bool Taken, bool Backward,
+                bool Conditional) {
+    P.onBranch(Pc, Target, Taken, Backward, Conditional);
+  }
+};
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Differential: batched engine vs legacy per-event path
+// Differential: production drivers vs hand-wired reference stacks
 //===----------------------------------------------------------------------===//
 
-// Call-loop graph dump: legacy (tracker + GraphProfiler listener under
-// per-event run) vs dense-id fast path (setProfileTarget + runFast) vs
-// batched virtual dispatch (runBatched). All three dumps must be
-// byte-identical.
+// Call-loop graph dump: the listener form (tracker + GraphProfiler) vs the
+// dense-id fast path (setProfileTarget). Both dumps must be byte-identical.
 TEST(EngineDifferential, CallLoopGraphDump) {
   for (const RunCase &RC : differentialCases()) {
     Workload W = WorkloadRegistry::create(
@@ -112,7 +127,7 @@ TEST(EngineDifferential, CallLoopGraphDump) {
       CallLoopTracker T(*B, Loops, G1);
       GraphProfiler Prof(G1);
       T.addListener(&Prof);
-      Interpreter(*B, RC.In).run(T, Cap);
+      Interpreter(*B, RC.In).runFast(T, Cap);
       G1.finalize();
     }
 
@@ -124,24 +139,12 @@ TEST(EngineDifferential, CallLoopGraphDump) {
       G2.finalize();
     }
 
-    CallLoopGraph G3(*B, Loops);
-    {
-      CallLoopTracker T(*B, Loops, G3);
-      GraphProfiler Prof(G3);
-      T.addListener(&Prof);
-      Interpreter(*B, RC.In).runBatched(T, Cap);
-      G3.finalize();
-    }
-
-    std::string D1 = printGraph(G1);
-    EXPECT_EQ(D1, printGraph(G2)) << RC.Name << " (fast path)";
-    EXPECT_EQ(D1, printGraph(G3)) << RC.Name << " (batched virtual)";
+    EXPECT_EQ(printGraph(G1), printGraph(G2)) << RC.Name;
   }
 }
 
-// Fixed-length intervals with BBVs and perf counters: legacy hand-wired
-// ObserverMux under run() vs the runFixedIntervals driver (StaticMux +
-// runFast).
+// Fixed-length intervals with BBVs and perf counters: a hand-wired stack
+// with per-access cache delivery vs the runFixedIntervals driver.
 TEST(EngineDifferential, FixedIntervalsAndBbv) {
   constexpr uint64_t Len = 100'000;
   for (const RunCase &RC : differentialCases()) {
@@ -149,25 +152,24 @@ TEST(EngineDifferential, FixedIntervalsAndBbv) {
         RC.Name.substr(0, RC.Name.find('/')));
     auto B = lower(*W.Program, LoweringOptions::O2());
 
-    std::vector<IntervalRecord> Legacy;
+    std::vector<IntervalRecord> Ref;
     {
       PerfModel Perf;
       IntervalBuilder Ivb = IntervalBuilder::fixedLength(Len, &Perf, true);
-      ObserverMux Mux;
-      Mux.add(&Ivb);
-      Mux.add(&Perf);
-      Interpreter(*B, RC.In).run(Mux, Cap);
-      Legacy = Ivb.takeIntervals();
+      PerAccessPerf PA{Perf};
+      StaticMux<IntervalBuilder, PerAccessPerf> Mux(Ivb, PA);
+      Interpreter(*B, RC.In).runFast(Mux, Cap);
+      Ref = Ivb.takeIntervals();
     }
 
-    std::vector<IntervalRecord> Engine =
+    std::vector<IntervalRecord> Driver =
         runFixedIntervals(*B, RC.In, Len, true, Cap);
-    expectSameIntervals(Legacy, Engine, RC.Name);
+    expectSameIntervals(Ref, Driver, RC.Name);
   }
 }
 
-// Marker-cut variable-length intervals and the firing trace: legacy
-// hand-wired stack under run() vs the runMarkerIntervals driver.
+// Marker-cut variable-length intervals and the firing trace: a hand-wired
+// stack with per-access cache delivery vs the runMarkerIntervals driver.
 TEST(EngineDifferential, MarkerIntervalsAndFirings) {
   for (const RunCase &RC : differentialCases()) {
     Workload W = WorkloadRegistry::create(
@@ -180,9 +182,9 @@ TEST(EngineDifferential, MarkerIntervalsAndFirings) {
     if (Sel.Markers.empty())
       continue; // Nothing to differentiate on this input.
 
-    std::vector<IntervalRecord> LegacyIv;
-    std::vector<int32_t> LegacyFirings;
-    RunResult LegacyRun;
+    std::vector<IntervalRecord> RefIv;
+    std::vector<int32_t> RefFirings;
+    RunResult RefRun;
     {
       PerfModel Perf;
       IntervalBuilder Ivb = IntervalBuilder::markerDriven(&Perf, true);
@@ -191,52 +193,48 @@ TEST(EngineDifferential, MarkerIntervalsAndFirings) {
       Tracker.addListener(&Runtime);
       Runtime.setCallback([&](int32_t Idx) {
         Ivb.requestCut(Idx);
-        LegacyFirings.push_back(Idx);
+        RefFirings.push_back(Idx);
       });
-      ObserverMux Mux;
-      Mux.add(&Tracker);
-      Mux.add(&Ivb);
-      Mux.add(&Perf);
-      LegacyRun = Interpreter(*B, RC.In).run(Mux, Cap);
-      LegacyIv = Ivb.takeIntervals();
+      PerAccessPerf PA{Perf};
+      StaticMux<CallLoopTracker, IntervalBuilder, PerAccessPerf> Mux(
+          Tracker, Ivb, PA);
+      RefRun = Interpreter(*B, RC.In).runFast(Mux, Cap);
+      RefIv = Ivb.takeIntervals();
     }
 
-    MarkerRun Engine = runMarkerIntervals(*B, Loops, *G, Sel.Markers, RC.In,
+    MarkerRun Driver = runMarkerIntervals(*B, Loops, *G, Sel.Markers, RC.In,
                                           /*CollectBbv=*/true,
                                           /*RecordFirings=*/true, Cap);
-    EXPECT_EQ(LegacyFirings, Engine.Firings) << RC.Name;
-    expectSameRun(LegacyRun, Engine.Run, RC.Name);
-    expectSameIntervals(LegacyIv, Engine.Intervals, RC.Name);
+    EXPECT_EQ(RefFirings, Driver.Firings) << RC.Name;
+    expectSameRun(RefRun, Driver.Run, RC.Name);
+    expectSameIntervals(RefIv, Driver.Intervals, RC.Name);
   }
 }
 
-// Whole-run cache statistics: PerfModel alone under all three dispatch
-// strategies.
+// Whole-run cache statistics: PerfModel alone, fed per access vs in bulk
+// memory runs.
 TEST(EngineDifferential, CacheStats) {
   for (const RunCase &RC : differentialCases()) {
     Workload W = WorkloadRegistry::create(
         RC.Name.substr(0, RC.Name.find('/')));
     auto B = lower(*W.Program, LoweringOptions::O2());
 
-    PerfModel P1, P2, P3;
-    RunResult R1 = Interpreter(*B, RC.In).run(P1, Cap);
+    PerfModel P1, P2;
+    PerAccessPerf PA{P1};
+    RunResult R1 = Interpreter(*B, RC.In).runFast(PA, Cap);
     RunResult R2 = Interpreter(*B, RC.In).runFast(P2, Cap);
-    RunResult R3 = Interpreter(*B, RC.In).runBatched(P3, Cap);
-    expectSameRun(R1, R2, RC.Name + " (fast)");
-    expectSameRun(R1, R3, RC.Name + " (batched)");
-    expectSameCounters(P1.counters(), P2.counters(), RC.Name + " (fast)");
-    expectSameCounters(P1.counters(), P3.counters(), RC.Name + " (batched)");
+    expectSameRun(R1, R2, RC.Name);
+    expectSameCounters(P1.counters(), P2.counters(), RC.Name);
   }
 }
 
 //===----------------------------------------------------------------------===//
-// Event-stream identity and mem-skip equivalence
+// Mem-skip equivalence
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// Records the full event sequence, including addresses, for exact
-/// stream-identity comparisons.
+/// Records the full event sequence, including addresses.
 class RecordingObserver : public ExecutionObserver {
 public:
   struct Event {
@@ -283,23 +281,9 @@ struct BlockLog {
 
 } // namespace
 
-// The batched virtual path must deliver the exact legacy event stream —
-// same events, same order, same addresses — including on truncated runs.
-TEST(EngineDifferential, EventStreamByteIdentical) {
-  Workload W = WorkloadRegistry::create("gzip");
-  auto B = lower(*W.Program, LoweringOptions::O2());
-  for (uint64_t Limit : {Cap, uint64_t(123'456)}) {
-    RecordingObserver Legacy, Batched;
-    RunResult R1 = Interpreter(*B, W.Ref).run(Legacy, Limit);
-    RunResult R2 = Interpreter(*B, W.Ref).runBatched(Batched, Limit);
-    expectSameRun(R1, R2, "stream");
-    ASSERT_EQ(Legacy.Events.size(), Batched.Events.size());
-    EXPECT_TRUE(Legacy.Events == Batched.Events);
-  }
-}
-
-// Mem-event skipping (WantsMem=false) must not perturb the shared RNG
-// stream: the block trace and run totals stay identical to a full run.
+// Mem-event skipping (an observer with no memory handler) must not perturb
+// the shared RNG stream: the block trace and run totals stay identical to
+// a full run.
 TEST(EngineDifferential, MemSkipPreservesControlFlow) {
   for (const RunCase &RC : differentialCases()) {
     Workload W = WorkloadRegistry::create(
@@ -307,7 +291,7 @@ TEST(EngineDifferential, MemSkipPreservesControlFlow) {
     auto B = lower(*W.Program, LoweringOptions::O2());
 
     RecordingObserver Full;
-    RunResult R1 = Interpreter(*B, RC.In).run(Full, Cap);
+    RunResult R1 = Interpreter(*B, RC.In).runFast(Full, Cap);
 
     BlockLog Skim;
     RunResult R2 = Interpreter(*B, RC.In).runFast(Skim, Cap);
@@ -322,13 +306,15 @@ TEST(EngineDifferential, MemSkipPreservesControlFlow) {
 }
 
 //===----------------------------------------------------------------------===//
-// Ordering guarantees under batching
+// StaticMux ordering guarantee
 //===----------------------------------------------------------------------===//
 
 namespace {
 
 /// Appends (tag, event-kind, payload) to a shared log; two of these behind
-/// a mux expose the exact per-event fan-out interleave.
+/// a mux expose the exact per-event fan-out interleave. Memory runs are
+/// consumed in bulk (own onMemRun), so a mux that forwarded whole runs
+/// member by member would show up as a reordered log.
 class TaggedObserver : public ExecutionObserver {
 public:
   struct Entry {
@@ -348,6 +334,11 @@ public:
   void onMemAccess(uint64_t Addr, bool IsStore) override {
     Log.push_back({Tag, IsStore ? 'S' : 'L', Addr});
   }
+  void onMemRun(const uint64_t *Addrs, uint32_t Count,
+                bool IsStore) override {
+    for (uint32_t I = 0; I < Count; ++I)
+      Log.push_back({Tag, IsStore ? 'S' : 'L', Addrs[I]});
+  }
   void onBranch(uint64_t Pc, uint64_t, bool, bool, bool) override {
     Log.push_back({Tag, 'J', Pc});
   }
@@ -365,54 +356,40 @@ private:
 
 } // namespace
 
-// ObserverMux under runBatched and StaticMux under runFast must both
-// reproduce the legacy interleave: for every event, observer 1 sees it
-// before observer 2, and no event is reordered across observers. This is
-// the contract runMarkerIntervals relies on (tracker fires marker cuts
-// before the interval builder accounts the block).
-TEST(EngineOrdering, MuxInterleaveSurvivesBatching) {
+// StaticMux fan-out order: for every event, observer 1 sees it before
+// observer 2, and memory accesses interleave address by address even when
+// both members take bulk runs. This is the contract runMarkerIntervals
+// relies on (tracker fires marker cuts before the interval builder
+// accounts the block). The expected log is built from a single observer's
+// stream by duplicating each entry as (1, e), (2, e).
+TEST(EngineOrdering, StaticMuxInterleavesPerEvent) {
   Workload W = WorkloadRegistry::create("gzip");
   auto B = lower(*W.Program, LoweringOptions::O2());
   constexpr uint64_t Limit = 200'000;
 
-  std::vector<TaggedObserver::Entry> LegacyLog;
+  std::vector<TaggedObserver::Entry> Single;
   {
-    TaggedObserver A(1, LegacyLog), C(2, LegacyLog);
-    ObserverMux Mux;
-    Mux.add(&A);
-    Mux.add(&C);
-    Interpreter(*B, W.Ref).run(Mux, Limit);
+    TaggedObserver Solo(0, Single);
+    Interpreter(*B, W.Ref).runFast(Solo, Limit);
   }
-
-  std::vector<TaggedObserver::Entry> BatchedLog;
-  {
-    TaggedObserver A(1, BatchedLog), C(2, BatchedLog);
-    ObserverMux Mux;
-    Mux.add(&A);
-    Mux.add(&C);
-    Interpreter(*B, W.Ref).runBatched(Mux, Limit);
+  std::vector<TaggedObserver::Entry> Expected;
+  size_t MemEntries = 0;
+  for (const TaggedObserver::Entry &E : Single) {
+    Expected.push_back({1, E.Kind, E.Payload});
+    Expected.push_back({2, E.Kind, E.Payload});
+    MemEntries += E.Kind == 'L' || E.Kind == 'S';
   }
+  ASSERT_GT(MemEntries, 0u);
 
-  std::vector<TaggedObserver::Entry> StaticLog;
+  std::vector<TaggedObserver::Entry> Got;
   {
-    TaggedObserver A(1, StaticLog), C(2, StaticLog);
+    TaggedObserver A(1, Got), C(2, Got);
     StaticMux<TaggedObserver, TaggedObserver> Mux(A, C);
     Interpreter(*B, W.Ref).runFast(Mux, Limit);
   }
-
-  ASSERT_FALSE(LegacyLog.empty());
-  EXPECT_TRUE(LegacyLog == BatchedLog) << "ObserverMux reordered under "
-                                          "batching";
-  EXPECT_TRUE(LegacyLog == StaticLog) << "StaticMux reordered under "
-                                         "devirtualized replay";
-  // Spot-check the pairwise property directly: entries alternate 1,2 with
-  // identical (kind, payload) pairs.
-  for (size_t I = 0; I + 1 < LegacyLog.size(); I += 2) {
-    EXPECT_EQ(LegacyLog[I].Tag, 1);
-    EXPECT_EQ(LegacyLog[I + 1].Tag, 2);
-    EXPECT_EQ(LegacyLog[I].Kind, LegacyLog[I + 1].Kind);
-    EXPECT_EQ(LegacyLog[I].Payload, LegacyLog[I + 1].Payload);
-  }
+  ASSERT_EQ(Got.size(), Expected.size());
+  EXPECT_TRUE(Got == Expected) << "StaticMux reordered events across "
+                                  "observers";
 }
 
 //===----------------------------------------------------------------------===//
@@ -454,7 +431,7 @@ TEST(Interpreter, ZeroWeightCallCandidatesFallBackToUniform) {
 
   CallCounter Counter;
   WorkloadInput In("zw", 7);
-  RunResult R = Interpreter(*B, In).run(Counter, Cap);
+  RunResult R = Interpreter(*B, In).runFast(Counter, Cap);
   EXPECT_FALSE(R.HitInstrLimit);
 
   ASSERT_GT(Counter.Counts.size(), std::max(F1, F2));
@@ -464,8 +441,8 @@ TEST(Interpreter, ZeroWeightCallCandidatesFallBackToUniform) {
   EXPECT_GT(N1, 0u);
   EXPECT_GT(N2, 0u);
 
-  // The batched engine takes the same fallback branch.
+  // The bytecode tier shares chooseCallee and takes the same fallback.
   CallCounter Counter2;
-  Interpreter(*B, In).runBatched(Counter2, Cap);
+  Interpreter(*B, In).runBytecode(compileBytecode(*B), Counter2, Cap);
   EXPECT_EQ(Counter.Counts, Counter2.Counts);
 }

@@ -31,7 +31,7 @@ std::vector<uint64_t> generate(MemAccessSpec Spec, uint64_t RegionBytes,
     void onMemAccess(uint64_t A, bool) override { Addrs.push_back(A); }
   } C;
   Interpreter Interp(*B, WorkloadInput("t", Seed));
-  Interp.run(C);
+  Interp.runFast(C);
   return C.Addrs;
 }
 
@@ -145,7 +145,7 @@ TEST(MemPattern, SeparateSitesHaveIndependentCursors) {
     std::vector<uint64_t> Addrs;
     void onMemAccess(uint64_t A, bool) override { Addrs.push_back(A); }
   } C;
-  Interpreter(*Bin, WorkloadInput("t", 1)).run(C);
+  Interpreter(*Bin, WorkloadInput("t", 1)).runFast(C);
   ASSERT_EQ(C.Addrs.size(), 10u);
   // Site A advances by 8, site B by 128, interleaved.
   EXPECT_EQ(C.Addrs[2] - C.Addrs[0], 8u);

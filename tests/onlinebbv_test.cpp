@@ -29,7 +29,7 @@ struct Classified {
     OnlineBbvConfig C;
     C.IntervalLen = Len;
     OnlineBbvClassifier Cls(C);
-    Interpreter(*Bin, W.Ref).run(Cls);
+    Interpreter(*Bin, W.Ref).runFast(Cls);
     Assign = Cls.assignments();
     Phases = Cls.numPhases();
     Intervals = runFixedIntervals(*Bin, W.Ref, Len, /*CollectBbv=*/true);
@@ -119,7 +119,7 @@ TEST(OnlineBbv, TableCapacityRespected) {
   Workload W = WorkloadRegistry::create("gcc");
   auto Bin = lower(*W.Program, LoweringOptions::O2());
   OnlineBbvClassifier Cls(C);
-  Interpreter(*Bin, W.Train).run(Cls);
+  Interpreter(*Bin, W.Train).runFast(Cls);
   EXPECT_LE(Cls.numPhases(), 4u); // ...but the table caps out.
   for (int32_t P : Cls.assignments()) {
     EXPECT_GE(P, 0);

@@ -156,7 +156,7 @@ TEST_P(WorkloadProperty, TrackerBeginsAndEndsBalance) {
   CallLoopTracker Tracker(*Bin, Loops, G);
   PairingListener Pairs;
   Tracker.addListener(&Pairs);
-  Interpreter(*Bin, W.Train).run(Tracker);
+  Interpreter(*Bin, W.Train).runFast(Tracker);
   EXPECT_EQ(Pairs.Begins, Pairs.Ends);
   EXPECT_TRUE(Pairs.Stack.empty());
   EXPECT_EQ(Tracker.depth(), 1u) << "only the root frame may remain";
@@ -167,7 +167,7 @@ TEST_P(WorkloadProperty, HierarchicalCountsNestProperly) {
   // root edge equals the run total.
   auto G = buildCallLoopGraph(*Bin, Loops, W.Train);
   ExecutionObserver Nop;
-  RunResult R = Interpreter(*Bin, W.Train).run(Nop);
+  RunResult R = Interpreter(*Bin, W.Train).runFast(Nop);
   const CallLoopEdge *Root = G->findEdge(RootNode, G->procHead(0));
   ASSERT_NE(Root, nullptr);
   EXPECT_DOUBLE_EQ(Root->Hier.sum(), static_cast<double>(R.TotalInstrs));
@@ -255,8 +255,8 @@ TEST_P(WorkloadProperty, MarkerFiringsEqualIntervalCuts) {
 TEST_P(WorkloadProperty, O0ExecutesMoreInstructionsThanO2) {
   auto B0 = lower(*W.Program, LoweringOptions::O0());
   ExecutionObserver Nop0, Nop2;
-  RunResult R0 = Interpreter(*B0, W.Train).run(Nop0);
-  RunResult R2 = Interpreter(*Bin, W.Train).run(Nop2);
+  RunResult R0 = Interpreter(*B0, W.Train).runFast(Nop0);
+  RunResult R2 = Interpreter(*Bin, W.Train).runFast(Nop2);
   EXPECT_GT(R0.TotalInstrs, R2.TotalInstrs);
   // Same memory behavior: identical access counts.
   EXPECT_EQ(R0.TotalMemAccesses, R2.TotalMemAccesses);

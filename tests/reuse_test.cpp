@@ -140,7 +140,7 @@ TEST(ReuseMarkers, RuntimeFiresOnMarkedBlocks) {
   int Fires = 0;
   RT.setCallback([&](int32_t) { ++Fires; });
   Interpreter Interp(*B, W.Ref);
-  Interp.run(RT);
+  Interp.runFast(RT);
   EXPECT_GT(Fires, 5);
   EXPECT_EQ(static_cast<uint64_t>(Fires), RT.fireCount());
 }

@@ -104,7 +104,7 @@ void expectSameRun(const RunResult &A, const RunResult &B,
 // Differential: sharded drivers vs uninterrupted engines
 //===----------------------------------------------------------------------===//
 
-// Call-loop graph dump: legacy run() + listener profiling vs the sharded
+// Call-loop graph dump: runFast + listener profiling vs the sharded
 // build for every shard count. Byte-identical dumps prove the per-shard
 // traversal logs concatenate into the exact global traversal-end order,
 // including the traversal split across a boundary.
@@ -115,15 +115,15 @@ TEST(ShardDifferential, CallLoopGraphDump) {
     auto B = lower(*W.Program, LoweringOptions::O2());
     LoopIndex Loops = LoopIndex::build(*B);
 
-    CallLoopGraph Legacy(*B, Loops);
+    CallLoopGraph Whole(*B, Loops);
     {
-      CallLoopTracker T(*B, Loops, Legacy);
-      GraphProfiler Prof(Legacy);
+      CallLoopTracker T(*B, Loops, Whole);
+      GraphProfiler Prof(Whole);
       T.addListener(&Prof);
-      Interpreter(*B, RC.In).run(T, Cap);
-      Legacy.finalize();
+      Interpreter(*B, RC.In).runFast(T, Cap);
+      Whole.finalize();
     }
-    std::string Ref = printGraph(Legacy);
+    std::string Ref = printGraph(Whole);
     ASSERT_FALSE(Ref.empty()) << RC.Name;
 
     for (unsigned N : ShardCounts) {
@@ -622,8 +622,7 @@ public:
 // nine segments at arbitrary positions (mid-loop, mid-call — wherever the
 // draw lands). Each segment resumes in a FRESH interpreter instance from
 // the previous checkpoint; the concatenated event stream and final totals
-// must equal the uninterrupted run. Both the devirtualized and the
-// virtual-dispatch segment paths are driven.
+// must equal the uninterrupted run.
 TEST(ShardFuzz, RandomBoundariesPreserveEventStream) {
   constexpr uint64_t FuzzCap = 300'000;
   Workload W = WorkloadRegistry::create("gzip");
@@ -646,47 +645,24 @@ TEST(ShardFuzz, RandomBoundariesPreserveEventStream) {
     Until.push_back(FuzzCap);
     std::string Ctx = "round " + std::to_string(Round);
 
-    // Devirtualized path.
-    {
-      RecordingObserver Got;
-      InterpCheckpoint Cks[2];
-      const InterpCheckpoint *From = nullptr;
-      RunResult R;
-      for (size_t S = 0; S < Until.size(); ++S) {
-        Interpreter Interp(*B, W.Ref);
-        InterpCheckpoint *Out =
-            S + 1 < Until.size() ? &Cks[S % 2] : nullptr;
-        R = Interp.runFastSegment(Got, From, Until[S], Out);
-        if (Out) {
-          std::string Err;
-          ASSERT_TRUE(Out->validateFor(*B, &Err))
-              << Ctx << " segment " << S << ": " << Err;
-        }
-        From = Out;
+    RecordingObserver Got;
+    InterpCheckpoint Cks[2];
+    const InterpCheckpoint *From = nullptr;
+    RunResult R;
+    for (size_t S = 0; S < Until.size(); ++S) {
+      Interpreter Interp(*B, W.Ref);
+      InterpCheckpoint *Out = S + 1 < Until.size() ? &Cks[S % 2] : nullptr;
+      R = Interp.runFastSegment(Got, From, Until[S], Out);
+      if (Out) {
+        std::string Err;
+        ASSERT_TRUE(Out->validateFor(*B, &Err))
+            << Ctx << " segment " << S << ": " << Err;
       }
-      expectSameRun(RefR, R, Ctx + " (fast)");
-      ASSERT_EQ(Ref.Events.size(), Got.Events.size()) << Ctx << " (fast)";
-      EXPECT_TRUE(Ref.Events == Got.Events) << Ctx << " (fast)";
+      From = Out;
     }
-
-    // Virtual-dispatch path.
-    {
-      RecordingObserver Got;
-      InterpCheckpoint Cks[2];
-      const InterpCheckpoint *From = nullptr;
-      RunResult R;
-      for (size_t S = 0; S < Until.size(); ++S) {
-        Interpreter Interp(*B, W.Ref);
-        InterpCheckpoint *Out =
-            S + 1 < Until.size() ? &Cks[S % 2] : nullptr;
-        R = Interp.runSegment(Got, From, Until[S], Out);
-        From = Out;
-      }
-      expectSameRun(RefR, R, Ctx + " (virtual)");
-      ASSERT_EQ(Ref.Events.size(), Got.Events.size()) << Ctx
-                                                      << " (virtual)";
-      EXPECT_TRUE(Ref.Events == Got.Events) << Ctx << " (virtual)";
-    }
+    expectSameRun(RefR, R, Ctx);
+    ASSERT_EQ(Ref.Events.size(), Got.Events.size()) << Ctx;
+    EXPECT_TRUE(Ref.Events == Got.Events) << Ctx;
   }
 }
 

@@ -31,7 +31,7 @@ TEST(IntervalBuilder, FixedLengthPartitionsExecution) {
     Pos += R.NumInstrs;
   }
   ExecutionObserver Nop;
-  RunResult Run = Interpreter(*G.Bin, G.W.Train).run(Nop);
+  RunResult Run = Interpreter(*G.Bin, G.W.Train).runFast(Nop);
   EXPECT_EQ(Pos, Run.TotalInstrs);
 }
 
@@ -61,7 +61,7 @@ TEST(IntervalBuilder, PerfDeltasSumToTotals) {
     Sum.Mispredicts += R.Perf.Mispredicts;
   }
   PerfModel Whole;
-  Interpreter(*G.Bin, G.W.Train).run(Whole);
+  Interpreter(*G.Bin, G.W.Train).runFast(Whole);
   EXPECT_EQ(Sum.Instrs, Whole.counters().Instrs);
   EXPECT_EQ(Sum.BaseCycles, Whole.counters().BaseCycles);
   EXPECT_EQ(Sum.L1Accesses, Whole.counters().L1Accesses);

@@ -72,7 +72,7 @@ TEST(Cache, ReconfigSweepGeometry) {
 TEST(Cache, ConfigureFlushesContents) {
   CacheModel C({16, 2, 64});
   C.access(0x40);
-  C.setAssoc(4);
+  C.configure({16, 4, 64});
   EXPECT_FALSE(C.access(0x40)); // Cold again after reconfiguration.
 }
 
@@ -130,7 +130,7 @@ TEST(PerfModel, CpiAtLeastBase) {
   Workload W = WorkloadRegistry::create("gzip");
   auto B = lower(*W.Program, LoweringOptions::O2());
   PerfModel Perf;
-  Interpreter(*B, W.Train).run(Perf);
+  Interpreter(*B, W.Train).runFast(Perf);
   PerfMetrics M = Perf.metrics();
   EXPECT_GE(M.Cpi, 1.0);
   EXPECT_LT(M.Cpi, 20.0);
@@ -142,7 +142,7 @@ TEST(PerfModel, CountersMatchRunResult) {
   Workload W = WorkloadRegistry::create("gzip");
   auto B = lower(*W.Program, LoweringOptions::O2());
   PerfModel Perf;
-  RunResult R = Interpreter(*B, W.Train).run(Perf);
+  RunResult R = Interpreter(*B, W.Train).runFast(Perf);
   EXPECT_EQ(Perf.counters().Instrs, R.TotalInstrs);
   EXPECT_EQ(Perf.counters().L1Accesses, R.TotalMemAccesses);
 }
@@ -165,7 +165,7 @@ TEST(PerfModel, MissesRaiseCpi) {
     auto P = PB.take();
     auto B = lower(*P, LoweringOptions::O2());
     PerfModel Perf;
-    Interpreter(*B, WorkloadInput("t", 1)).run(Perf);
+    Interpreter(*B, WorkloadInput("t", 1)).runFast(Perf);
     return Perf.metrics();
   };
   PerfMetrics Small = MakeRun(4 * 1024);
@@ -179,7 +179,7 @@ TEST(PerfModel, DeltaMetricsConsistent) {
   auto B = lower(*W.Program, LoweringOptions::O2());
   PerfModel Perf;
   Interpreter Interp(*B, W.Train);
-  Interp.run(Perf, 50000);
+  Interp.runFast(Perf, 50000);
   PerfCounters Mid = Perf.counters();
   PerfCounters Zero;
   PerfMetrics All = PerfModel::metricsFor(Mid - Zero);
@@ -192,7 +192,7 @@ TEST(PerfModel, L2CountersPopulateWhenEnabled) {
   PerfModelOptions Opts;
   Opts.EnableL2 = true;
   PerfModel Perf(Opts);
-  Interpreter(*B, W.Train).run(Perf);
+  Interpreter(*B, W.Train).runFast(Perf);
   const PerfCounters &C = Perf.counters();
   EXPECT_GT(C.L2Accesses, 0u);
   EXPECT_EQ(C.L2Accesses, C.L1Misses) << "every L1 miss probes the L2";
@@ -204,7 +204,7 @@ TEST(PerfModel, NoL2LeavesCountersZero) {
   Workload W = WorkloadRegistry::create("gzip");
   auto B = lower(*W.Program, LoweringOptions::O2());
   PerfModel Perf;
-  Interpreter(*B, W.Train).run(Perf);
+  Interpreter(*B, W.Train).runFast(Perf);
   EXPECT_EQ(Perf.counters().L2Accesses, 0u);
   EXPECT_EQ(Perf.counters().L2Misses, 0u);
 }
@@ -215,11 +215,11 @@ TEST(PerfModel, L2LowersCpiOnCacheHostileCode) {
   Workload W = WorkloadRegistry::create("mcf");
   auto B = lower(*W.Program, LoweringOptions::O2());
   PerfModel L1Only;
-  Interpreter(*B, W.Train).run(L1Only);
+  Interpreter(*B, W.Train).runFast(L1Only);
   PerfModelOptions Opts;
   Opts.EnableL2 = true;
   PerfModel WithL2(Opts);
-  Interpreter(*B, W.Train).run(WithL2);
+  Interpreter(*B, W.Train).runFast(WithL2);
   EXPECT_LT(WithL2.metrics().Cpi, L1Only.metrics().Cpi);
 }
 

@@ -62,8 +62,8 @@ TEST(Interpreter, DeterministicAcrossRuns) {
   Workload W = WorkloadRegistry::create("gzip");
   auto B = lower(*W.Program, LoweringOptions::O2());
   RecordingObserver R1, R2;
-  RunResult A = Interpreter(*B, W.Ref).run(R1);
-  RunResult C = Interpreter(*B, W.Ref).run(R2);
+  RunResult A = Interpreter(*B, W.Ref).runFast(R1);
+  RunResult C = Interpreter(*B, W.Ref).runFast(R2);
   EXPECT_EQ(A.TotalInstrs, C.TotalInstrs);
   EXPECT_EQ(A.TotalBlocks, C.TotalBlocks);
   EXPECT_EQ(A.TotalMemAccesses, C.TotalMemAccesses);
@@ -78,8 +78,8 @@ TEST(Interpreter, SeedChangesExecution) {
   WorkloadInput Other = W.Ref;
   Other.setSeed(W.Ref.seed() + 1);
   RecordingObserver R1, R2;
-  RunResult A = Interpreter(*B, W.Ref).run(R1);
-  RunResult C = Interpreter(*B, Other).run(R2);
+  RunResult A = Interpreter(*B, W.Ref).runFast(R1);
+  RunResult C = Interpreter(*B, Other).runFast(R2);
   // Different seeds perturb uniform trip counts: totals should differ.
   EXPECT_NE(A.TotalInstrs, C.TotalInstrs);
 }
@@ -88,7 +88,7 @@ TEST(Interpreter, LoopExecutesExactTripCount) {
   auto P = simpleLoopProgram(10);
   auto B = lower(*P, LoweringOptions::O2());
   RecordingObserver R;
-  Interpreter(*B, WorkloadInput("t", 1)).run(R);
+  Interpreter(*B, WorkloadInput("t", 1)).runFast(R);
   // Count backward branches: one per iteration, taken on all but the last.
   int Backs = 0, Taken = 0;
   for (const auto &E : R.Events)
@@ -104,7 +104,7 @@ TEST(Interpreter, ZeroTripLoopSkipsEntirely) {
   auto P = simpleLoopProgram(0);
   auto B = lower(*P, LoweringOptions::O2());
   RecordingObserver R;
-  Interpreter(*B, WorkloadInput("t", 1)).run(R);
+  Interpreter(*B, WorkloadInput("t", 1)).runFast(R);
   for (const auto &E : R.Events)
     EXPECT_NE(E.K, RecordingObserver::Event::Kind::Branch);
 }
@@ -113,7 +113,7 @@ TEST(Interpreter, ReportedTotalsConsistent) {
   Workload W = WorkloadRegistry::create("gzip");
   auto B = lower(*W.Program, LoweringOptions::O2());
   RecordingObserver R;
-  RunResult Res = Interpreter(*B, W.Train).run(R);
+  RunResult Res = Interpreter(*B, W.Train).runFast(R);
   EXPECT_EQ(Res.TotalInstrs, R.Instrs);
   EXPECT_EQ(Res.TotalInstrs, R.ReportedTotal);
   EXPECT_FALSE(Res.HitInstrLimit);
@@ -123,7 +123,7 @@ TEST(Interpreter, InstrLimitTruncates) {
   Workload W = WorkloadRegistry::create("gzip");
   auto B = lower(*W.Program, LoweringOptions::O2());
   RecordingObserver R;
-  RunResult Res = Interpreter(*B, W.Ref).run(R, 5000);
+  RunResult Res = Interpreter(*B, W.Ref).runFast(R, 5000);
   EXPECT_TRUE(Res.HitInstrLimit);
   EXPECT_GE(Res.TotalInstrs, 5000u);
   // Truncation stops within one block of the budget.
@@ -134,7 +134,7 @@ TEST(Interpreter, CallAndReturnBalance) {
   Workload W = WorkloadRegistry::create("gzip");
   auto B = lower(*W.Program, LoweringOptions::O2());
   RecordingObserver R;
-  Interpreter(*B, W.Train).run(R);
+  Interpreter(*B, W.Train).runFast(R);
   int Calls = 0, Rets = 0;
   for (const auto &E : R.Events) {
     Calls += E.K == RecordingObserver::Event::Kind::Call;
@@ -149,7 +149,7 @@ TEST(Interpreter, MemAccessesFallInRegions) {
   auto B = lower(*W.Program, LoweringOptions::O2());
   Interpreter Interp(*B, W.Train);
   RecordingObserver R;
-  Interp.run(R, 200000);
+  Interp.runFast(R, 200000);
   for (const auto &E : R.Events) {
     if (E.K != RecordingObserver::Event::Kind::Mem)
       continue;
@@ -173,7 +173,7 @@ TEST(Interpreter, ScheduleTripCyclesValues) {
   auto P = PB.take();
   auto B = lower(*P, LoweringOptions::O2());
   RecordingObserver R;
-  Interpreter(*B, WorkloadInput("t", 1)).run(R);
+  Interpreter(*B, WorkloadInput("t", 1)).runFast(R);
   // Inner loop iterations: 2+5+2+5 = 14 backward branches on the inner
   // latch, plus 4 on the outer.
   int Backs = 0;
@@ -196,7 +196,7 @@ TEST(Interpreter, PeriodicCondPattern) {
   auto P = PB.take();
   auto B = lower(*P, LoweringOptions::O2());
   RecordingObserver R;
-  Interpreter(*B, WorkloadInput("t", 1)).run(R);
+  Interpreter(*B, WorkloadInput("t", 1)).runFast(R);
   // The then-block (7 instrs) runs 3 of 9 iterations. Count conditional
   // forward branches not taken (then-path).
   int ThenTaken = 0;
@@ -216,8 +216,8 @@ TEST(Interpreter, ParamTripRespondsToInput) {
   auto P = PB.take();
   auto B = lower(*P, LoweringOptions::O2());
   RecordingObserver R1, R2;
-  Interpreter(*B, WorkloadInput("a", 1).set("n", 5)).run(R1);
-  Interpreter(*B, WorkloadInput("b", 1).set("n", 50)).run(R2);
+  Interpreter(*B, WorkloadInput("a", 1).set("n", 5)).runFast(R1);
+  Interpreter(*B, WorkloadInput("b", 1).set("n", 50)).runFast(R2);
   EXPECT_GT(R2.Instrs, R1.Instrs);
 }
 
@@ -231,7 +231,7 @@ TEST(Interpreter, GuardedRecursionTerminates) {
   auto P = PB.take();
   auto B = lower(*P, LoweringOptions::O2());
   RecordingObserver R;
-  RunResult Res = Interpreter(*B, WorkloadInput("t", 3)).run(R);
+  RunResult Res = Interpreter(*B, WorkloadInput("t", 3)).runFast(R);
   EXPECT_GT(Res.TotalInstrs, 0u);
   EXPECT_FALSE(Res.HitInstrLimit);
 }
@@ -251,7 +251,7 @@ TEST(Interpreter, RoundRobinDispatchCycles) {
   auto P = PB.take();
   auto B = lower(*P, LoweringOptions::O2());
   RecordingObserver R;
-  Interpreter(*B, WorkloadInput("t", 1)).run(R);
+  Interpreter(*B, WorkloadInput("t", 1)).runFast(R);
   std::vector<uint64_t> Callees;
   for (const auto &E : R.Events)
     if (E.K == RecordingObserver::Event::Kind::Call)
@@ -266,8 +266,8 @@ TEST(Interpreter, CrossOptLevelStructureIdentical) {
   auto B0 = lower(*W.Program, LoweringOptions::O0());
   auto B2 = lower(*W.Program, LoweringOptions::O2());
   RecordingObserver R0, R2;
-  Interpreter(*B0, W.Train).run(R0);
-  Interpreter(*B2, W.Train).run(R2);
+  Interpreter(*B0, W.Train).runFast(R0);
+  Interpreter(*B2, W.Train).runFast(R2);
   // Same structural path: identical call/return/branch-taken sequences.
   auto Filter = [](const RecordingObserver &R) {
     std::vector<std::pair<int, uint64_t>> Seq;

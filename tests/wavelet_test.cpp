@@ -116,7 +116,7 @@ ReuseProfile profileOf(const std::string &Name) {
   auto Bin = lower(*W.Program, LoweringOptions::O2());
   ReuseMarkerConfig RC;
   ReuseSignalCollector Col(RC.WindowInstrs);
-  Interpreter(*Bin, W.Train).run(Col);
+  Interpreter(*Bin, W.Train).runFast(Col);
   return Col.takeProfile();
 }
 

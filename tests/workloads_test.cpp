@@ -44,7 +44,7 @@ TEST_P(WorkloadTest, LowersAndVerifiesBothOptLevels) {
 TEST_P(WorkloadTest, RefRunSizeInBounds) {
   auto B = lower(*W.Program, LoweringOptions::O2());
   ExecutionObserver Nop;
-  RunResult R = Interpreter(*B, W.Ref).run(Nop);
+  RunResult R = Interpreter(*B, W.Ref).runFast(Nop);
   // The suite is calibrated to ~2-5M instructions per ref run: big enough
   // for hundreds of 10K intervals, small enough that every figure harness
   // finishes in seconds.
@@ -56,8 +56,8 @@ TEST_P(WorkloadTest, RefRunSizeInBounds) {
 TEST_P(WorkloadTest, TrainSmallerThanRef) {
   auto B = lower(*W.Program, LoweringOptions::O2());
   ExecutionObserver Nop1, Nop2;
-  RunResult T = Interpreter(*B, W.Train).run(Nop1);
-  RunResult R = Interpreter(*B, W.Ref).run(Nop2);
+  RunResult T = Interpreter(*B, W.Train).runFast(Nop1);
+  RunResult R = Interpreter(*B, W.Ref).runFast(Nop2);
   EXPECT_LT(T.TotalInstrs, R.TotalInstrs);
   EXPECT_GT(T.TotalInstrs, 100'000u);
 }

@@ -56,6 +56,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <thread>
 
 using namespace spm;
 
@@ -103,8 +104,8 @@ int usage() {
       "        when a command dies on an unhandled exception or injected\n"
       "        fault, a flight-recorder crash dump lands next to -o as\n"
       "        <out>.crash.json (docs/observability.md)\n"
-      "bench --profile measures per-stage event throughput of the legacy\n"
-      "per-event engine vs the batched engine; JSON lands in\n"
+      "bench --profile measures per-stage event throughput of the tree,\n"
+      "bytecode and fused tiers (speedups vs tree); JSON lands in\n"
       "BENCH_engine.json unless -o overrides it; the sharded-execution\n"
       "stage additionally writes BENCH_shard.json\n");
   return 2;
@@ -314,9 +315,10 @@ CommonArgs parseArgs(int Argc, char **Argv, int Start) {
 }
 
 /// The run-provenance header stamped on every export (trace timeline,
-/// metrics JSONL, per-phase JSONL, crash dump): enough configuration to
-/// re-run the command and to tell artifacts from differently-configured
-/// runs apart. One JSON object, no trailing newline.
+/// metrics JSONL, per-phase JSONL, crash dump, BENCH_*.json): enough
+/// configuration to re-run the command and to tell artifacts from
+/// differently-configured runs and hosts (CPU count, build type) apart.
+/// One JSON object, no trailing newline.
 std::string provenanceJson(const std::string &Cmd, const CommonArgs &A) {
   bool Fused = (A.Engine == "bytecode" && !A.NoFuse) ||
                A.Engine == "bytecode-fused";
@@ -327,6 +329,9 @@ std::string provenanceJson(const std::string &Cmd, const CommonArgs &A) {
   Out += ", \"engine\": \"" + jsonEscape(A.Engine) + "\"";
   Out += std::string(", \"fused\": ") + (Fused ? "true" : "false");
   Out += ", \"jobs\": " + std::to_string(parallelJobs());
+  Out += ", \"nproc\": " +
+         std::to_string(std::max(1u, std::thread::hardware_concurrency()));
+  Out += ", \"build_type\": \"" + jsonEscape(SPM_BUILD_TYPE) + "\"";
   Out += ", \"input\": \"" + std::string(A.UseRef ? "ref" : "train") + "\"";
   Out += std::string(", \"trace_compiled_in\": ") +
          (traceCompiledIn() ? "true" : "false");
@@ -372,8 +377,7 @@ int cmdProfile(const CommonArgs &A) {
   LoopIndex Loops = LoopIndex::build(*Bin);
   auto Bc = makeEngine(A, *Bin);
   auto G = buildCallLoopGraph(*Bin, Loops, A.UseRef ? W.Ref : W.Train,
-                              std::numeric_limits<uint64_t>::max(),
-                              /*Extra=*/nullptr, Bc.get());
+                              std::numeric_limits<uint64_t>::max(), Bc.get());
   if (!writeOutput(A.OutPath, serializeProfile(*G, *Bin, Loops))) {
     std::fprintf(stderr, "profile: cannot write %s\n", A.OutPath.c_str());
     return 1;
@@ -551,8 +555,8 @@ int cmdBench(const CommonArgs &A) {
   return 0;
 }
 
-/// Sink with no handlers: the devirtualized engine at its emptiest —
-/// measures raw interpreter fill/replay cost.
+/// Sink with no handlers: each tier at its emptiest — measures raw
+/// interpreter dispatch cost.
 struct NullSink {};
 
 /// Counts every event in the stream (the events/sec denominator).
@@ -565,11 +569,12 @@ struct EventCounter : ExecutionObserver {
   void onReturn(uint32_t) override { ++Events; }
 };
 
-/// `spm_tool bench --profile`: per-stage event throughput of the legacy
-/// per-event engine vs the batched/devirtualized engine, on identical
-/// streams. Times are best-of---reps, summed over workloads; events/sec
-/// divides the total event count (blocks + memory accesses + branches +
-/// calls + returns) by stage time. JSON goes to BENCH_engine.json (or -o).
+/// `spm_tool bench --profile`: per-stage event throughput of the execution
+/// tiers — the tree walk (runFast), plain bytecode and fused bytecode — on
+/// identical streams. Times are best-of---reps, summed over workloads;
+/// events/sec divides the total event count (blocks + memory accesses +
+/// branches + calls + returns) by stage time, and speedups are relative to
+/// the tree arm. JSON goes to BENCH_engine.json (or -o).
 int cmdBenchProfile(const CommonArgs &A) {
   std::vector<std::string> Names =
       A.Positional.empty() ? WorkloadRegistry::allNames() : A.Positional;
@@ -585,6 +590,8 @@ int cmdBenchProfile(const CommonArgs &A) {
   const char *StageNames[NumStages] = {"interp", "interp+tracker",
                                        "tracker+markers+intervals", "bbv",
                                        "cache"};
+  constexpr int NumArms = 3;
+  const char *ArmNames[NumArms] = {"tree", "bytecode", "fused"};
   uint64_t TotalEvents = 0;
 
   // Sharded-execution stage: the full marker pipeline through
@@ -643,10 +650,7 @@ int cmdBenchProfile(const CommonArgs &A) {
 
       // Count the stream once (doubles as warm-up).
       EventCounter EC;
-      {
-        Interpreter I(*Bin, In);
-        I.run(EC, Cap);
-      }
+      Interpreter(*Bin, In).runFast(EC, Cap);
       TotalEvents += EC.Events;
 
       // Markers for the full-pipeline stage.
@@ -666,75 +670,32 @@ int cmdBenchProfile(const CommonArgs &A) {
       timeReps(stageHist(Name, "bc_fuse", "fused"),
                [&] { Fused = fuseBytecode(*Bin, Bc); });
 
-      timeReps(stageHist(Name, "interp", "legacy"), [&] {
-        ExecutionObserver Nop;
-        Interpreter I(*Bin, In);
-        I.run(Nop, Cap);
-      });
-      timeReps(stageHist(Name, "interp", "engine"), [&] {
+      // Every stage runs once per arm: "tree" (runFast, the reference
+      // tier and the speedup baseline), "bytecode" and "fused". Only the
+      // entry point differs between arms; the observers are identical.
+      auto stage = [&](const char *Stage, auto &&Body) {
+        for (int Arm = 0; Arm < NumArms; ++Arm)
+          timeReps(stageHist(Name, Stage, ArmNames[Arm]), [&] {
+            Interpreter I(*Bin, In);
+            Body([&](auto &Obs) {
+              if (Arm == 0)
+                I.runFast(Obs, Cap);
+              else
+                I.runBytecode(Arm == 1 ? Bc : Fused, Obs, Cap);
+            });
+          });
+      };
+      stage("interp", [&](auto &&Run) {
         NullSink S;
-        Interpreter I(*Bin, In);
-        I.runFast(S, Cap);
+        Run(S);
       });
-      timeReps(stageHist(Name, "interp", "bytecode"), [&] {
-        NullSink S;
-        Interpreter I(*Bin, In);
-        I.runBytecode(Bc, S, Cap);
-      });
-      timeReps(stageHist(Name, "interp", "fused"), [&] {
-        NullSink S;
-        Interpreter I(*Bin, In);
-        I.runBytecode(Fused, S, Cap);
-      });
-
-      timeReps(stageHist(Name, "interp+tracker", "legacy"), [&] {
-        CallLoopGraph PG(*Bin, Loops);
-        CallLoopTracker T(*Bin, Loops, PG);
-        GraphProfiler P(PG);
-        T.addListener(&P);
-        ObserverMux Mux;
-        Mux.add(&T);
-        Interpreter I(*Bin, In);
-        I.run(Mux, Cap);
-      });
-      timeReps(stageHist(Name, "interp+tracker", "engine"), [&] {
+      stage("interp+tracker", [&](auto &&Run) {
         CallLoopGraph PG(*Bin, Loops);
         CallLoopTracker T(*Bin, Loops, PG);
         T.setProfileTarget(&PG);
-        Interpreter I(*Bin, In);
-        I.runFast(T, Cap);
+        Run(T);
       });
-      timeReps(stageHist(Name, "interp+tracker", "bytecode"), [&] {
-        CallLoopGraph PG(*Bin, Loops);
-        CallLoopTracker T(*Bin, Loops, PG);
-        T.setProfileTarget(&PG);
-        Interpreter I(*Bin, In);
-        I.runBytecode(Bc, T, Cap);
-      });
-      timeReps(stageHist(Name, "interp+tracker", "fused"), [&] {
-        CallLoopGraph PG(*Bin, Loops);
-        CallLoopTracker T(*Bin, Loops, PG);
-        T.setProfileTarget(&PG);
-        Interpreter I(*Bin, In);
-        I.runBytecode(Fused, T, Cap);
-      });
-
-      timeReps(stageHist(Name, "tracker+markers+intervals", "legacy"), [&] {
-        PerfModel Perf;
-        IntervalBuilder Ivb =
-            IntervalBuilder::markerDriven(&Perf, /*CollectBbv=*/false);
-        CallLoopTracker T(*Bin, Loops, *G);
-        MarkerRuntime RT(Sel.Markers, *G);
-        T.addListener(&RT);
-        RT.setCallback([&](int32_t Idx) { Ivb.requestCut(Idx); });
-        ObserverMux Mux;
-        Mux.add(&T);
-        Mux.add(&Ivb);
-        Mux.add(&Perf);
-        Interpreter I(*Bin, In);
-        I.run(Mux, Cap);
-      });
-      timeReps(stageHist(Name, "tracker+markers+intervals", "engine"), [&] {
+      stage("tracker+markers+intervals", [&](auto &&Run) {
         PerfModel Perf;
         IntervalBuilder Ivb =
             IntervalBuilder::markerDriven(&Perf, /*CollectBbv=*/false);
@@ -744,91 +705,18 @@ int cmdBenchProfile(const CommonArgs &A) {
         RT.setCallback([&](int32_t Idx) { Ivb.requestCut(Idx); });
         StaticMux<CallLoopTracker, IntervalBuilder, PerfModel> Mux(T, Ivb,
                                                                    Perf);
-        Interpreter I(*Bin, In);
-        I.runFast(Mux, Cap);
+        Run(Mux);
       });
-      timeReps(stageHist(Name, "tracker+markers+intervals", "bytecode"),
-               [&] {
-        PerfModel Perf;
-        IntervalBuilder Ivb =
-            IntervalBuilder::markerDriven(&Perf, /*CollectBbv=*/false);
-        CallLoopTracker T(*Bin, Loops, *G);
-        MarkerRuntime RT(Sel.Markers, *G);
-        T.addListener(&RT);
-        RT.setCallback([&](int32_t Idx) { Ivb.requestCut(Idx); });
-        StaticMux<CallLoopTracker, IntervalBuilder, PerfModel> Mux(T, Ivb,
-                                                                   Perf);
-        Interpreter I(*Bin, In);
-        I.runBytecode(Bc, Mux, Cap);
-      });
-      timeReps(stageHist(Name, "tracker+markers+intervals", "fused"), [&] {
-        PerfModel Perf;
-        IntervalBuilder Ivb =
-            IntervalBuilder::markerDriven(&Perf, /*CollectBbv=*/false);
-        CallLoopTracker T(*Bin, Loops, *G);
-        MarkerRuntime RT(Sel.Markers, *G);
-        T.addListener(&RT);
-        RT.setCallback([&](int32_t Idx) { Ivb.requestCut(Idx); });
-        StaticMux<CallLoopTracker, IntervalBuilder, PerfModel> Mux(T, Ivb,
-                                                                   Perf);
-        Interpreter I(*Bin, In);
-        I.runBytecode(Fused, Mux, Cap);
-      });
-
-      timeReps(stageHist(Name, "bbv", "legacy"), [&] {
-        PerfModel Perf;
-        IntervalBuilder Ivb =
-            IntervalBuilder::fixedLength(100000, &Perf, /*CollectBbv=*/true);
-        ObserverMux Mux;
-        Mux.add(&Ivb);
-        Mux.add(&Perf);
-        Interpreter I(*Bin, In);
-        I.run(Mux, Cap);
-      });
-      timeReps(stageHist(Name, "bbv", "engine"), [&] {
+      stage("bbv", [&](auto &&Run) {
         PerfModel Perf;
         IntervalBuilder Ivb =
             IntervalBuilder::fixedLength(100000, &Perf, /*CollectBbv=*/true);
         StaticMux<IntervalBuilder, PerfModel> Mux(Ivb, Perf);
-        Interpreter I(*Bin, In);
-        I.runFast(Mux, Cap);
+        Run(Mux);
       });
-      timeReps(stageHist(Name, "bbv", "bytecode"), [&] {
+      stage("cache", [&](auto &&Run) {
         PerfModel Perf;
-        IntervalBuilder Ivb =
-            IntervalBuilder::fixedLength(100000, &Perf, /*CollectBbv=*/true);
-        StaticMux<IntervalBuilder, PerfModel> Mux(Ivb, Perf);
-        Interpreter I(*Bin, In);
-        I.runBytecode(Bc, Mux, Cap);
-      });
-      timeReps(stageHist(Name, "bbv", "fused"), [&] {
-        PerfModel Perf;
-        IntervalBuilder Ivb =
-            IntervalBuilder::fixedLength(100000, &Perf, /*CollectBbv=*/true);
-        StaticMux<IntervalBuilder, PerfModel> Mux(Ivb, Perf);
-        Interpreter I(*Bin, In);
-        I.runBytecode(Fused, Mux, Cap);
-      });
-
-      timeReps(stageHist(Name, "cache", "legacy"), [&] {
-        PerfModel Perf;
-        Interpreter I(*Bin, In);
-        I.run(Perf, Cap);
-      });
-      timeReps(stageHist(Name, "cache", "engine"), [&] {
-        PerfModel Perf;
-        Interpreter I(*Bin, In);
-        I.runFast(Perf, Cap);
-      });
-      timeReps(stageHist(Name, "cache", "bytecode"), [&] {
-        PerfModel Perf;
-        Interpreter I(*Bin, In);
-        I.runBytecode(Bc, Perf, Cap);
-      });
-      timeReps(stageHist(Name, "cache", "fused"), [&] {
-        PerfModel Perf;
-        Interpreter I(*Bin, In);
-        I.runBytecode(Fused, Perf, Cap);
+        Run(Perf);
       });
 
       timeReps(stageHist(Name, "shard", "base"), [&] {
@@ -879,15 +767,15 @@ int cmdBenchProfile(const CommonArgs &A) {
   Table T;
   T.row()
       .cell("stage")
-      .cell("legacy Mev/s")
-      .cell("engine Mev/s")
+      .cell("tree Mev/s")
       .cell("bytecode Mev/s")
       .cell("fused Mev/s")
-      .cell("eng/leg")
-      .cell("bc/eng")
-      .cell("fz/eng");
+      .cell("bc/tree")
+      .cell("fz/tree");
   char Buf[384];
+  const std::string Prov = provenanceJson("bench --profile", A);
   std::string Json = "{\n  \"bench\": \"engine-profile\",\n";
+  Json += "  \"provenance\": " + Prov + ",\n";
   std::snprintf(Buf, sizeof(Buf),
                 "  \"cap_instrs\": %llu,\n  \"reps\": %d,\n"
                 "  \"trace_compiled_in\": %s,\n  \"trace_enabled\": %s,\n",
@@ -916,66 +804,38 @@ int cmdBenchProfile(const CommonArgs &A) {
   Json += Buf;
   bool FirstStage = true;
   for (int S = 0; S < NumStages; ++S) {
-    double LegacySec = stageSeconds(StageNames[S], "legacy");
-    double EngineSec = stageSeconds(StageNames[S], "engine");
-    double BcSec = stageSeconds(StageNames[S], "bytecode");
-    double FzSec = stageSeconds(StageNames[S], "fused");
+    double TreeSec = stageSeconds(StageNames[S], "tree");
     // A stage the run never reached (exception upstream) has no registry
     // samples — leave it out rather than emit NaNs.
-    if (!(LegacySec > 0.0) || !(EngineSec > 0.0))
+    if (!(TreeSec > 0.0))
       continue;
-    double LegacyEps = TotalEvents / LegacySec;
-    double EngineEps = TotalEvents / EngineSec;
-    double Speedup = LegacySec / EngineSec;
-    bool HasBc = BcSec > 0.0;
-    bool HasFz = FzSec > 0.0;
-    auto &Row = T.row().cell(StageNames[S]).cell(LegacyEps / 1e6, 1).cell(
-        EngineEps / 1e6, 1);
-    if (HasBc)
-      Row.cell(TotalEvents / BcSec / 1e6, 1);
-    else
-      Row.cell("-");
-    if (HasFz)
-      Row.cell(TotalEvents / FzSec / 1e6, 1);
-    else
-      Row.cell("-");
-    std::snprintf(Buf, sizeof(Buf), "%.2fx", Speedup);
-    Row.cell(std::string(Buf));
-    if (HasBc) {
-      std::snprintf(Buf, sizeof(Buf), "%.2fx", EngineSec / BcSec);
-      Row.cell(std::string(Buf));
-    } else {
-      Row.cell("-");
-    }
-    if (HasFz) {
-      std::snprintf(Buf, sizeof(Buf), "%.2fx", EngineSec / FzSec);
-      Row.cell(std::string(Buf));
-    } else {
-      Row.cell("-");
-    }
+    auto &Row = T.row().cell(StageNames[S]).cell(TotalEvents / TreeSec / 1e6,
+                                                 1);
     std::snprintf(Buf, sizeof(Buf),
-                  "%s    {\"stage\": \"%s\", \"legacy_s\": %.6f, "
-                  "\"engine_s\": %.6f, \"legacy_eps\": %.0f, "
-                  "\"engine_eps\": %.0f, \"speedup\": %.3f",
-                  FirstStage ? "" : ",\n", StageNames[S], LegacySec,
-                  EngineSec, LegacyEps, EngineEps, Speedup);
+                  "%s    {\"stage\": \"%s\", \"tree_s\": %.6f, "
+                  "\"tree_eps\": %.0f",
+                  FirstStage ? "" : ",\n", StageNames[S], TreeSec,
+                  TotalEvents / TreeSec);
     Json += Buf;
-    if (HasBc) {
+    std::string Ratios[NumArms - 1];
+    for (int Arm = 1; Arm < NumArms; ++Arm) {
+      double Sec = stageSeconds(StageNames[S], ArmNames[Arm]);
+      if (!(Sec > 0.0)) {
+        Row.cell("-");
+        Ratios[Arm - 1] = "-";
+        continue;
+      }
+      Row.cell(TotalEvents / Sec / 1e6, 1);
+      std::snprintf(Buf, sizeof(Buf), "%.2fx", TreeSec / Sec);
+      Ratios[Arm - 1] = Buf;
       std::snprintf(Buf, sizeof(Buf),
-                    ", \"bytecode_s\": %.6f, \"bytecode_eps\": %.0f, "
-                    "\"bytecode_speedup\": %.3f",
-                    BcSec, TotalEvents / BcSec, EngineSec / BcSec);
+                    ", \"%s_s\": %.6f, \"%s_eps\": %.0f, "
+                    "\"%s_speedup\": %.3f",
+                    ArmNames[Arm], Sec, ArmNames[Arm], TotalEvents / Sec,
+                    ArmNames[Arm], TreeSec / Sec);
       Json += Buf;
     }
-    if (HasFz) {
-      // fused_speedup is fused vs the engine arm (runFast), the prior
-      // fastest tier — the headline the fusion pass is accountable for.
-      std::snprintf(Buf, sizeof(Buf),
-                    ", \"fused_s\": %.6f, \"fused_eps\": %.0f, "
-                    "\"fused_speedup\": %.3f",
-                    FzSec, TotalEvents / FzSec, EngineSec / FzSec);
-      Json += Buf;
-    }
+    Row.cell(Ratios[0]).cell(Ratios[1]);
     Json += "}";
     FirstStage = false;
   }
@@ -1009,6 +869,7 @@ int cmdBenchProfile(const CommonArgs &A) {
               ShardN, ShardNSumS, ShardN, parallelJobs());
 
   std::string SJson = "{\n  \"bench\": \"shard-profile\",\n";
+  SJson += "  \"provenance\": " + Prov + ",\n";
   std::snprintf(Buf0, sizeof(Buf0),
                 "  \"cap_instrs\": %llu,\n  \"reps\": %d,\n"
                 "  \"jobs\": %u,\n  \"shards\": %u,\n",
@@ -1330,8 +1191,7 @@ int cmdDot(const CommonArgs &A) {
   LoopIndex Loops = LoopIndex::build(*Bin);
   auto Bc = makeEngine(A, *Bin);
   auto G = buildCallLoopGraph(*Bin, Loops, A.UseRef ? W.Ref : W.Train,
-                              std::numeric_limits<uint64_t>::max(),
-                              /*Extra=*/nullptr, Bc.get());
+                              std::numeric_limits<uint64_t>::max(), Bc.get());
   return writeOutput(A.OutPath, printGraphDot(*G)) ? 0 : 1;
 }
 
@@ -1404,8 +1264,7 @@ int cmdImport(const CommonArgs &A) {
     LoopIndex Loops = LoopIndex::build(*Bin);
     auto Bc = makeEngine(A, *Bin);
     auto G = buildCallLoopGraph(*Bin, Loops, In,
-                                std::numeric_limits<uint64_t>::max(),
-                                /*Extra=*/nullptr, Bc.get());
+                                std::numeric_limits<uint64_t>::max(), Bc.get());
     SelectionResult Sel = selectMarkers(*G, A.Config);
     MarkerRun Run = runMarkerIntervals(
         *Bin, Loops, *G, Sel.Markers, In,
