@@ -24,7 +24,6 @@
 #ifndef SPM_BENCH_BENCHUTIL_H
 #define SPM_BENCH_BENCHUTIL_H
 
-#include "callloop/Profile.h"
 #include "ir/Lowering.h"
 #include "markers/Pipeline.h"
 #include "markers/Selector.h"

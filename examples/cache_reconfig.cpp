@@ -10,8 +10,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "adaptcache/Policies.h"
-#include "callloop/Profile.h"
 #include "ir/Lowering.h"
+#include "markers/Pipeline.h"
 #include "markers/Selector.h"
 #include "support/Table.h"
 #include "workloads/Workloads.h"

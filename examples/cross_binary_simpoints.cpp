@@ -10,7 +10,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "callloop/Profile.h"
 #include "ir/Lowering.h"
 #include "markers/Pipeline.h"
 #include "markers/Selector.h"

@@ -10,10 +10,10 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "callloop/Profile.h"
 #include "ir/Lowering.h"
 #include "ir/Printer.h"
 #include "ir/Verify.h"
+#include "markers/Pipeline.h"
 #include "markers/Selector.h"
 #include "workloads/Workloads.h"
 

@@ -6,22 +6,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Convenience drivers that wire interpreter + tracker + marker runtime +
-/// performance model + interval builder in the correct observer order.
-/// Every experiment harness goes through these, so event-ordering
-/// subtleties live in exactly one place.
+/// One-call drivers for the three pipelines. Each builds the pipeline's
+/// observer stack (markers/Stack.h), which fixes the observer order in
+/// exactly one place, and runs it on the tree walk or a bytecode module.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SPM_MARKERS_PIPELINE_H
 #define SPM_MARKERS_PIPELINE_H
 
-#include "callloop/Profile.h"
-#include "markers/MarkerSet.h"
-#include "markers/Runtime.h"
+#include "markers/Stack.h"
 #include "support/Parallel.h"
-#include "trace/Interval.h"
-#include "vm/Interpreter.h"
+#include "support/Trace.h"
 
 #include <limits>
 #include <memory>
@@ -29,19 +25,40 @@
 
 namespace spm {
 
-/// Result of a marker-instrumented run.
-struct MarkerRun {
-  std::vector<IntervalRecord> Intervals;
-  /// Sequence of marker indices in firing order (the "phase marker trace"
-  /// compared across binaries in Sec. 5.3.1). Only filled when requested.
-  std::vector<int32_t> Firings;
-  RunResult Run;
-};
+namespace detail {
+
+/// Runs \p Obs over a whole run of \p B on \p In. \p Bc, when non-null,
+/// selects the bytecode execution tier — plain or fused (vm/Fusion.h); both
+/// produce byte-identical output, so callers pick the module, not the
+/// semantics (see vm/Bytecode.h).
+template <class ObsT>
+RunResult runWithEngine(const Binary &B, const WorkloadInput &In, ObsT &Obs,
+                        uint64_t MaxInstrs, const BytecodeModule *Bc) {
+  Interpreter Interp(B, In);
+  return Bc ? Interp.runBytecode(*Bc, Obs, MaxInstrs)
+            : Interp.runFast(Obs, MaxInstrs);
+}
+
+} // namespace detail
+
+/// Profiles \p B on \p In and returns the finalized call-loop graph
+/// (Sec. 4.2) — the equivalent of the paper's ATOM profiling pass, which
+/// "runs in a matter of minutes" there and in milliseconds here.
+inline std::unique_ptr<CallLoopGraph>
+buildCallLoopGraph(const Binary &B, const LoopIndex &Loops,
+                   const WorkloadInput &In,
+                   uint64_t MaxInstrs = std::numeric_limits<uint64_t>::max(),
+                   const BytecodeModule *Bc = nullptr) {
+  SPM_TRACE_SPAN("pipeline.build_graph");
+  auto G = std::make_unique<CallLoopGraph>(B, Loops);
+  GraphStack S(B, Loops, *G);
+  S.Tracker.setProfileTarget(G.get());
+  detail::runWithEngine(B, In, S.obs(), MaxInstrs, Bc);
+  G->finalize();
+  return G;
+}
 
 /// Runs \p B on \p In with fixed-length intervals of \p Len instructions.
-/// \p Bc, when non-null, selects the bytecode execution tier — plain or
-/// fused (vm/Fusion.h); both produce byte-identical output, so callers
-/// pick the module, not the semantics (see vm/Bytecode.h).
 inline std::vector<IntervalRecord>
 runFixedIntervals(const Binary &B, const WorkloadInput &In, uint64_t Len,
                   bool CollectBbv,
@@ -49,21 +66,13 @@ runFixedIntervals(const Binary &B, const WorkloadInput &In, uint64_t Len,
                   const PerfModelOptions &PerfOpts = PerfModelOptions(),
                   const BytecodeModule *Bc = nullptr) {
   SPM_TRACE_SPAN("pipeline.fixed_intervals");
-  PerfModel Perf(PerfOpts);
-  IntervalBuilder Ivb = IntervalBuilder::fixedLength(Len, &Perf, CollectBbv);
-  StaticMux<IntervalBuilder, PerfModel> Mux(Ivb, Perf);
-  Interpreter Interp(B, In);
-  if (Bc)
-    Interp.runBytecode(*Bc, Mux, MaxInstrs);
-  else
-    Interp.runFast(Mux, MaxInstrs);
-  return Ivb.takeIntervals();
+  FixedStack S(B, Len, CollectBbv, PerfOpts);
+  detail::runWithEngine(B, In, S.obs(), MaxInstrs, Bc);
+  return S.take();
 }
 
 /// Runs \p B on \p In with the markers of \p M cutting variable-length
-/// intervals. \p G and \p Loops must belong to \p B. \p Bc, when non-null,
-/// selects the bytecode execution tier, plain or fused (byte-identical
-/// output either way).
+/// intervals. \p G and \p Loops must belong to \p B.
 inline MarkerRun
 runMarkerIntervals(const Binary &B, const LoopIndex &Loops,
                    const CallLoopGraph &G, const MarkerSet &M,
@@ -73,27 +82,10 @@ runMarkerIntervals(const Binary &B, const LoopIndex &Loops,
                    const PerfModelOptions &PerfOpts = PerfModelOptions(),
                    const BytecodeModule *Bc = nullptr) {
   SPM_TRACE_SPAN("pipeline.marker_intervals");
-  MarkerRun Out;
-  PerfModel Perf(PerfOpts);
-  IntervalBuilder Ivb = IntervalBuilder::markerDriven(&Perf, CollectBbv);
-  CallLoopTracker Tracker(B, Loops, G);
-  MarkerRuntime Runtime(M, G);
-  Tracker.addListener(&Runtime);
-  Runtime.setCallback([&](int32_t Idx) {
-    Ivb.requestCut(Idx);
-    if (RecordFirings)
-      Out.Firings.push_back(Idx);
-  });
-
-  // Declaration order is the fan-out order (see StaticMux): the tracker
-  // fires markers first, so cuts precede interval accounting,
-  // which precedes counter updates.
-  StaticMux<CallLoopTracker, IntervalBuilder, PerfModel> Mux(Tracker, Ivb,
-                                                             Perf);
-  Interpreter Interp(B, In);
-  Out.Run = Bc ? Interp.runBytecode(*Bc, Mux, MaxInstrs)
-               : Interp.runFast(Mux, MaxInstrs);
-  Out.Intervals = Ivb.takeIntervals();
+  MarkerStack S(B, Loops, G, M, CollectBbv, RecordFirings, PerfOpts);
+  RunResult R = detail::runWithEngine(B, In, S.obs(), MaxInstrs, Bc);
+  MarkerRun Out = S.take();
+  Out.Run = R;
   return Out;
 }
 

@@ -11,14 +11,17 @@
 /// the per-shard outputs into results byte-identical to the uninterrupted
 /// run. See docs/sharding.md for the design.
 ///
-/// Three phases:
+/// One skeleton (detail::runSharded) runs every sharded driver in three
+/// phases; the drivers differ only in the observer stack they build
+/// (markers/Stack.h) and how leg outputs merge:
 ///  1. Plan — a mem-skipped pre-run with a null observer measures the run
 ///     length; boundaries fall at i*Total/N.
 ///  2. Warm — a serial fast-forward chain executes segment after segment,
-///     capturing a PipelineCheckpoint at every boundary. Cache contents,
-///     predictor counters, and tracker stacks are history-dependent, so
-///     this functional warming (SMARTS-style) cannot be skipped; for graph
-///     profiling the chain carries only interpreter + tracker and is cheap.
+///     saving the stack's checkpoint sections at every boundary. Cache
+///     contents, predictor counters, and tracker stacks are
+///     history-dependent, so this functional warming (SMARTS-style) cannot
+///     be skipped; for graph profiling the chain carries only interpreter
+///     + tracker and is cheap.
 ///  3. Shard — every shard restores its checkpoint and re-executes its
 ///     segment in parallel on the ambient thread pool, recording outputs.
 ///     A leg that throws is re-run from its boundary checkpoint under the
@@ -47,7 +50,6 @@
 #ifndef SPM_MARKERS_SHARDED_H
 #define SPM_MARKERS_SHARDED_H
 
-#include "callloop/Profile.h"
 #include "markers/Checkpoint.h"
 #include "markers/Pipeline.h"
 #include "support/FailPoint.h"
@@ -60,26 +62,11 @@
 #include <chrono>
 #include <limits>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace spm {
-
-/// Tracker listener that records every finished edge traversal in stream
-/// order, for exact-order replay into a graph during shard merge.
-class TraversalLog : public TrackerListener {
-public:
-  struct Entry {
-    NodeId From;
-    NodeId To;
-    uint64_t Hier;
-  };
-
-  void onEdgeEnd(NodeId From, NodeId To, uint64_t HierInstrs) override {
-    Log.push_back({From, To, HierInstrs});
-  }
-
-  std::vector<Entry> Log;
-};
 
 /// Segment end positions (cumulative instruction counts) for an N-shard
 /// split. Until.size() == N; the last entry is the caller's original
@@ -123,6 +110,18 @@ planShards(const Binary &B, const WorkloadInput &In, unsigned NShards,
 struct ShardRetryPolicy {
   /// Re-attempts after the first failure (total attempts = MaxRetries + 1).
   unsigned MaxRetries = 2;
+};
+
+/// A shard leg's boundary checkpoint did not restore into its observer
+/// stack (a section missing or not fitting). Legs throw it instead of
+/// running on from a half-restored stack, which would silently corrupt the
+/// merged output.
+class ShardRestoreError : public std::runtime_error {
+public:
+  explicit ShardRestoreError(size_t Shard)
+      : std::runtime_error("shard[restore]: boundary checkpoint of shard " +
+                           std::to_string(Shard) +
+                           " does not fit its pipeline stack") {}
 };
 
 namespace detail {
@@ -171,6 +170,96 @@ RunResult segmentWithEngine(Interpreter &I, const BytecodeModule *Bc,
             : I.runFastSegment(Obs, From, UntilInstrs, Out);
 }
 
+/// Moves the elements of \p From onto the end of \p To.
+template <class T> void append(std::vector<T> &To, std::vector<T> &From) {
+  To.insert(To.end(), std::make_move_iterator(From.begin()),
+            std::make_move_iterator(From.end()));
+}
+
+/// The one sharded driver behind the three public ones: plan, warm, legs,
+/// merge (see the file comment). The drivers differ only in the stack they
+/// build and how leg outputs merge:
+///  - \p Whole() runs the unsharded driver, for NShards <= 1;
+///  - \p Make(Keep) builds a fresh GraphStack, FixedStack or MarkerStack
+///    in place — Keep is false for the warm chain, whose outputs are
+///    discarded, and true for the legs;
+///  - \p Merge(Legs) folds the legs, in shard order, into the result. Each
+///    leg carries its stack's take() as Out and its segment's RunResult.
+template <class WholeFn, class MakeFn, class MergeFn>
+auto runSharded(const Binary &B, const WorkloadInput &In, unsigned NShards,
+                uint64_t MaxInstrs, std::vector<double> *ShardSeconds,
+                const BytecodeModule *Bc, const ShardRetryPolicy &Retry,
+                WholeFn &&Whole, MakeFn &&Make, MergeFn &&Merge) {
+  if (NShards <= 1) {
+    auto T0 = std::chrono::steady_clock::now();
+    auto Out = Whole();
+    if (ShardSeconds)
+      ShardSeconds->push_back(secondsSince(T0));
+    return Out;
+  }
+
+  ShardPlan Plan = planShards(B, In, NShards, MaxInstrs, Bc);
+
+  // Warm: the leg's full stack must run (cache, predictor, and tracker
+  // contents are history-dependent); its outputs are discarded, only the
+  // boundary checkpoints are kept.
+  std::vector<PipelineCheckpoint> Cks(NShards - 1);
+  {
+    SPM_TRACE_SPAN("shard.warm");
+    auto Warm = Make(false);
+    Interpreter Interp(B, In);
+    Warm.obs().onRunStart(B, In);
+    const InterpCheckpoint *From = nullptr;
+    for (unsigned S = 0; S + 1 < NShards; ++S) {
+      segmentWithEngine(Interp, Bc, Warm.obs(), From, Plan.Until[S],
+                        &Cks[S].Interp);
+      Cks[S].Seed = In.seed();
+      Warm.save(Cks[S]);
+      From = &Cks[S].Interp;
+    }
+  }
+
+  // Shard: restore (or start) and record.
+  using Output = decltype(Make(true).take());
+  struct Leg {
+    Output Out;
+    RunResult Run;
+    double Sec = 0.0;
+  };
+  auto RunLeg = [&](size_t S) {
+    auto T0 = std::chrono::steady_clock::now();
+    auto Stack = Make(true);
+    const InterpCheckpoint *From = nullptr;
+    if (S == 0) {
+      Stack.obs().onRunStart(B, In);
+    } else {
+      if (!Stack.restore(Cks[S - 1]))
+        throw ShardRestoreError(S);
+      From = &Cks[S - 1].Interp;
+    }
+    Interpreter Interp(B, In);
+    auto L = std::make_unique<Leg>();
+    L->Run =
+        segmentWithEngine(Interp, Bc, Stack.obs(), From, Plan.Until[S]);
+    if (S + 1 == NShards)
+      Stack.obs().onRunEnd(L->Run.TotalInstrs); // Pop-all + final cut.
+    L->Out = Stack.take();
+    L->Sec = secondsSince(T0);
+    return L;
+  };
+  std::vector<std::unique_ptr<Leg>> Legs =
+      parallelMap(NShards, [&](size_t S) {
+        return runShardLegWithRetry(Retry, [&] { return RunLeg(S); });
+      });
+
+  SPM_TRACE_SPAN("shard.merge");
+  auto Out = Merge(Legs);
+  if (ShardSeconds)
+    for (const auto &L : Legs)
+      ShardSeconds->push_back(L->Sec);
+  return Out;
+}
+
 } // namespace detail
 
 /// Sharded call-loop graph profiling: byte-identical to buildCallLoopGraph
@@ -184,84 +273,21 @@ inline std::unique_ptr<CallLoopGraph> buildCallLoopGraphSharded(
     std::vector<double> *ShardSeconds = nullptr,
     const BytecodeModule *Bc = nullptr,
     const ShardRetryPolicy &Retry = ShardRetryPolicy()) {
-  if (NShards <= 1) {
-    auto T0 = std::chrono::steady_clock::now();
-    auto G = buildCallLoopGraph(B, Loops, In, MaxInstrs, Bc);
-    if (ShardSeconds)
-      ShardSeconds->push_back(detail::secondsSince(T0));
-    return G;
-  }
-
-  ShardPlan Plan = planShards(B, In, NShards, MaxInstrs, Bc);
   auto G = std::make_unique<CallLoopGraph>(B, Loops);
-
-  // Warm: interpreter + bare tracker (no listeners, no profile target).
-  std::vector<PipelineCheckpoint> Cks(NShards - 1);
-  {
-    SPM_TRACE_SPAN("shard.warm");
-    Interpreter Interp(B, In);
-    CallLoopTracker Tracker(B, Loops, *G);
-    Tracker.onRunStart(B, In);
-    const InterpCheckpoint *From = nullptr;
-    for (unsigned S = 0; S + 1 < NShards; ++S) {
-      detail::segmentWithEngine(Interp, Bc, Tracker, From, Plan.Until[S],
-                                &Cks[S].Interp);
-      Cks[S].Seed = In.seed();
-      Cks[S].HasTracker = true;
-      Cks[S].Tracker = Tracker.saveState();
-      From = &Cks[S].Interp;
-    }
-  }
-
-  // Shard: replay each segment with a traversal log.
-  struct Out {
-    std::vector<TraversalLog::Entry> Log;
-    double Sec = 0.0;
-  };
-  auto Leg = [&](size_t S) {
-    auto T0 = std::chrono::steady_clock::now();
-    auto O = std::make_unique<Out>();
-    Interpreter Interp(B, In);
-    CallLoopTracker Tracker(B, Loops, *G);
-    TraversalLog Log;
-    Tracker.addListener(&Log);
-    RunResult R;
-    if (S == 0) {
-      Tracker.onRunStart(B, In);
-      R = detail::segmentWithEngine(Interp, Bc, Tracker, nullptr,
-                                    Plan.Until[0]);
-    } else {
-      bool OK = Tracker.restoreState(Cks[S - 1].Tracker);
-      assert(OK && "tracker checkpoint does not fit the binary");
-      (void)OK;
-      R = detail::segmentWithEngine(Interp, Bc, Tracker, &Cks[S - 1].Interp,
-                                    Plan.Until[S]);
-    }
-    if (S + 1 == NShards)
-      Tracker.onRunEnd(R.TotalInstrs); // Pop-all, as runFast() does.
-    O->Log = std::move(Log.Log);
-    O->Sec = detail::secondsSince(T0);
-    return O;
-  };
-  std::vector<std::unique_ptr<Out>> Outs =
-      parallelMap(NShards, [&](size_t S) {
-        return detail::runShardLegWithRetry(Retry, [&] { return Leg(S); });
+  return detail::runSharded(
+      B, In, NShards, MaxInstrs, ShardSeconds, Bc, Retry,
+      [&] { return buildCallLoopGraph(B, Loops, In, MaxInstrs, Bc); },
+      [&](bool Keep) { return GraphStack(B, Loops, *G, Keep); },
+      [&](auto &Legs) {
+        // The concatenated logs are the exact traversal-end order of the
+        // uninterrupted run, so the Welford updates happen in the same
+        // sequence on the same values.
+        for (const auto &L : Legs)
+          for (const TraversalLog::Entry &E : L->Out)
+            G->addTraversal(E.From, E.To, E.Hier);
+        G->finalize();
+        return std::move(G);
       });
-
-  // Merge: replay the logs in shard order — the concatenation is the exact
-  // traversal-end order of the uninterrupted run, so the Welford updates
-  // happen in the same sequence on the same values.
-  {
-    SPM_TRACE_SPAN("shard.merge");
-    for (const auto &O : Outs) {
-      for (const TraversalLog::Entry &E : O->Log)
-        G->addTraversal(E.From, E.To, E.Hier);
-      if (ShardSeconds)
-        ShardSeconds->push_back(O->Sec);
-    }
-    G->finalize();
-  }
-  return G;
 }
 
 /// Sharded marker-instrumented run: intervals, firings, and run totals
@@ -276,112 +302,27 @@ inline MarkerRun runMarkerIntervalsSharded(
     std::vector<double> *ShardSeconds = nullptr,
     const BytecodeModule *Bc = nullptr,
     const ShardRetryPolicy &Retry = ShardRetryPolicy()) {
-  if (NShards <= 1) {
-    auto T0 = std::chrono::steady_clock::now();
-    MarkerRun Out =
-        runMarkerIntervals(B, Loops, G, M, In, CollectBbv, RecordFirings,
-                           MaxInstrs, PerfOpts, Bc);
-    if (ShardSeconds)
-      ShardSeconds->push_back(detail::secondsSince(T0));
-    return Out;
-  }
-
-  ShardPlan Plan = planShards(B, In, NShards, MaxInstrs, Bc);
-
-  // Warm: the full observer stack must run (cache and predictor contents
-  // are history-dependent); its outputs are discarded, only boundary
-  // checkpoints are kept.
-  std::vector<PipelineCheckpoint> Cks(NShards - 1);
-  {
-    SPM_TRACE_SPAN("shard.warm");
-    PerfModel Perf(PerfOpts);
-    IntervalBuilder Ivb = IntervalBuilder::markerDriven(&Perf, CollectBbv);
-    CallLoopTracker Tracker(B, Loops, G);
-    MarkerRuntime Runtime(M, G);
-    Tracker.addListener(&Runtime);
-    Runtime.setCallback([&](int32_t Idx) { Ivb.requestCut(Idx); });
-    StaticMux<CallLoopTracker, IntervalBuilder, PerfModel> Mux(Tracker, Ivb,
-                                                               Perf);
-    Interpreter Interp(B, In);
-    Mux.onRunStart(B, In);
-    const InterpCheckpoint *From = nullptr;
-    for (unsigned S = 0; S + 1 < NShards; ++S) {
-      detail::segmentWithEngine(Interp, Bc, Mux, From, Plan.Until[S],
-                                &Cks[S].Interp);
-      Cks[S].Seed = In.seed();
-      Cks[S].HasTracker = true;
-      Cks[S].Tracker = Tracker.saveState();
-      Cks[S].HasInterval = true;
-      Cks[S].Interval = Ivb.saveState();
-      Cks[S].HasPerf = true;
-      Cks[S].Perf = Perf.saveState();
-      Cks[S].HasMarkers = true;
-      Cks[S].Markers = Runtime.saveState();
-      From = &Cks[S].Interp;
-    }
-  }
-
-  // Shard: restore and record.
-  struct Out {
-    std::vector<IntervalRecord> Iv;
-    std::vector<int32_t> Fr;
-    RunResult R;
-    double Sec = 0.0;
-  };
-  auto Leg = [&](size_t S) {
-    auto T0 = std::chrono::steady_clock::now();
-    auto O = std::make_unique<Out>();
-    PerfModel Perf(PerfOpts);
-    IntervalBuilder Ivb = IntervalBuilder::markerDriven(&Perf, CollectBbv);
-    CallLoopTracker Tracker(B, Loops, G);
-    MarkerRuntime Runtime(M, G);
-    Tracker.addListener(&Runtime);
-    Runtime.setCallback([&, OutP = O.get()](int32_t Idx) {
-      Ivb.requestCut(Idx);
-      if (RecordFirings)
-        OutP->Fr.push_back(Idx);
-    });
-    StaticMux<CallLoopTracker, IntervalBuilder, PerfModel> Mux(Tracker, Ivb,
-                                                               Perf);
-    Interpreter Interp(B, In);
-    if (S == 0) {
-      Mux.onRunStart(B, In);
-      O->R = detail::segmentWithEngine(Interp, Bc, Mux, nullptr,
-                                       Plan.Until[0]);
-    } else {
-      const PipelineCheckpoint &C = Cks[S - 1];
-      bool OK = Tracker.restoreState(C.Tracker) && Perf.restoreState(C.Perf) &&
-                Runtime.restoreState(C.Markers);
-      assert(OK && "checkpoint does not fit this pipeline");
-      (void)OK;
-      Ivb.restoreState(C.Interval);
-      O->R = detail::segmentWithEngine(Interp, Bc, Mux, &C.Interp,
-                                       Plan.Until[S]);
-    }
-    if (S + 1 == NShards)
-      Mux.onRunEnd(O->R.TotalInstrs); // Pop-all + final interval cut.
-    O->Iv = Ivb.takeIntervals();
-    O->Sec = detail::secondsSince(T0);
-    return O;
-  };
-  std::vector<std::unique_ptr<Out>> Outs =
-      parallelMap(NShards, [&](size_t S) {
-        return detail::runShardLegWithRetry(Retry, [&] { return Leg(S); });
+  return detail::runSharded(
+      B, In, NShards, MaxInstrs, ShardSeconds, Bc, Retry,
+      [&] {
+        return runMarkerIntervals(B, Loops, G, M, In, CollectBbv,
+                                  RecordFirings, MaxInstrs, PerfOpts, Bc);
+      },
+      [&](bool Keep) {
+        return MarkerStack(B, Loops, G, M, CollectBbv, Keep && RecordFirings,
+                           PerfOpts);
+      },
+      [&](auto &Legs) {
+        MarkerRun Out;
+        // Cumulative totals; limit flag of the final segment, whose budget
+        // is the original cap.
+        Out.Run = Legs.back()->Run;
+        for (auto &L : Legs) {
+          detail::append(Out.Intervals, L->Out.Intervals);
+          detail::append(Out.Firings, L->Out.Firings);
+        }
+        return Out;
       });
-
-  SPM_TRACE_SPAN("shard.merge");
-  MarkerRun Out;
-  Out.Run = Outs.back()->R; // Cumulative totals; limit flag of the final
-                            // segment, whose budget is the original cap.
-  for (auto &O : Outs) {
-    Out.Intervals.insert(Out.Intervals.end(),
-                         std::make_move_iterator(O->Iv.begin()),
-                         std::make_move_iterator(O->Iv.end()));
-    Out.Firings.insert(Out.Firings.end(), O->Fr.begin(), O->Fr.end());
-    if (ShardSeconds)
-      ShardSeconds->push_back(O->Sec);
-  }
-  return Out;
 }
 
 /// Sharded fixed-length interval run: byte-identical to runFixedIntervals
@@ -395,84 +336,19 @@ inline std::vector<IntervalRecord> runFixedIntervalsSharded(
     std::vector<double> *ShardSeconds = nullptr,
     const BytecodeModule *Bc = nullptr,
     const ShardRetryPolicy &Retry = ShardRetryPolicy()) {
-  if (NShards <= 1) {
-    auto T0 = std::chrono::steady_clock::now();
-    auto Out = runFixedIntervals(B, In, Len, CollectBbv, MaxInstrs, PerfOpts,
+  return detail::runSharded(
+      B, In, NShards, MaxInstrs, ShardSeconds, Bc, Retry,
+      [&] {
+        return runFixedIntervals(B, In, Len, CollectBbv, MaxInstrs, PerfOpts,
                                  Bc);
-    if (ShardSeconds)
-      ShardSeconds->push_back(detail::secondsSince(T0));
-    return Out;
-  }
-
-  ShardPlan Plan = planShards(B, In, NShards, MaxInstrs, Bc);
-
-  std::vector<PipelineCheckpoint> Cks(NShards - 1);
-  {
-    SPM_TRACE_SPAN("shard.warm");
-    PerfModel Perf(PerfOpts);
-    IntervalBuilder Ivb = IntervalBuilder::fixedLength(Len, &Perf,
-                                                       CollectBbv);
-    StaticMux<IntervalBuilder, PerfModel> Mux(Ivb, Perf);
-    Interpreter Interp(B, In);
-    Mux.onRunStart(B, In);
-    const InterpCheckpoint *From = nullptr;
-    for (unsigned S = 0; S + 1 < NShards; ++S) {
-      detail::segmentWithEngine(Interp, Bc, Mux, From, Plan.Until[S],
-                                &Cks[S].Interp);
-      Cks[S].Seed = In.seed();
-      Cks[S].HasInterval = true;
-      Cks[S].Interval = Ivb.saveState();
-      Cks[S].HasPerf = true;
-      Cks[S].Perf = Perf.saveState();
-      From = &Cks[S].Interp;
-    }
-  }
-
-  struct Out {
-    std::vector<IntervalRecord> Iv;
-    double Sec = 0.0;
-  };
-  auto Leg = [&](size_t S) {
-    auto T0 = std::chrono::steady_clock::now();
-    auto O = std::make_unique<Out>();
-    PerfModel Perf(PerfOpts);
-    IntervalBuilder Ivb = IntervalBuilder::fixedLength(Len, &Perf,
-                                                       CollectBbv);
-    StaticMux<IntervalBuilder, PerfModel> Mux(Ivb, Perf);
-    Interpreter Interp(B, In);
-    RunResult R;
-    if (S == 0) {
-      Mux.onRunStart(B, In);
-      R = detail::segmentWithEngine(Interp, Bc, Mux, nullptr, Plan.Until[0]);
-    } else {
-      const PipelineCheckpoint &C = Cks[S - 1];
-      bool OK = Perf.restoreState(C.Perf);
-      assert(OK && "perf checkpoint does not fit this model");
-      (void)OK;
-      Ivb.restoreState(C.Interval);
-      R = detail::segmentWithEngine(Interp, Bc, Mux, &C.Interp,
-                                    Plan.Until[S]);
-    }
-    if (S + 1 == NShards)
-      Mux.onRunEnd(R.TotalInstrs);
-    O->Iv = Ivb.takeIntervals();
-    O->Sec = detail::secondsSince(T0);
-    return O;
-  };
-  std::vector<std::unique_ptr<Out>> Outs =
-      parallelMap(NShards, [&](size_t S) {
-        return detail::runShardLegWithRetry(Retry, [&] { return Leg(S); });
+      },
+      [&](bool) { return FixedStack(B, Len, CollectBbv, PerfOpts); },
+      [&](auto &Legs) {
+        std::vector<IntervalRecord> Merged;
+        for (auto &L : Legs)
+          detail::append(Merged, L->Out);
+        return Merged;
       });
-
-  SPM_TRACE_SPAN("shard.merge");
-  std::vector<IntervalRecord> Merged;
-  for (auto &O : Outs) {
-    Merged.insert(Merged.end(), std::make_move_iterator(O->Iv.begin()),
-                  std::make_move_iterator(O->Iv.end()));
-    if (ShardSeconds)
-      ShardSeconds->push_back(O->Sec);
-  }
-  return Merged;
 }
 
 } // namespace spm

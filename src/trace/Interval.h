@@ -183,8 +183,23 @@ public:
   /// Restores a boundary snapshot into a fresh builder (same mode and BBV
   /// setting as the one that produced it). Records stay untouched: the
   /// restored builder continues the open interval and emits it on its own
-  /// next cut.
-  void restoreState(const IntervalBuilderState &St) {
+  /// next cut. Returns false (no change) when the partial BBV does not fit
+  /// a binary of \p NumBlocks blocks: an id out of range, an id listed
+  /// twice, or any partial at all when BBV collection is off.
+  bool restoreState(const IntervalBuilderState &St, size_t NumBlocks) {
+    if (!CollectBbv && !St.Partial.empty())
+      return false;
+    std::vector<uint32_t> Ids;
+    Ids.reserve(St.Partial.size());
+    for (const auto &[Id, W] : St.Partial) {
+      if (Id >= NumBlocks)
+        return false;
+      Ids.push_back(Id);
+    }
+    std::sort(Ids.begin(), Ids.end());
+    if (std::adjacent_find(Ids.begin(), Ids.end()) != Ids.end())
+      return false;
+
     StartInstr = St.StartInstr;
     CurInstrs = St.CurInstrs;
     CurBlocks = St.CurBlocks;
@@ -207,6 +222,7 @@ public:
       DenseW[Id] = W;
       Touched.push_back(Id);
     }
+    return true;
   }
 
 private:

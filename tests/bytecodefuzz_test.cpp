@@ -16,7 +16,6 @@
 
 #include "DiffHarness.h"
 #include "IrGen.h"
-#include "callloop/Profile.h"
 #include "ir/Builder.h"
 #include "ir/Lowering.h"
 #include "markers/Selector.h"

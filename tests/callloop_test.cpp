@@ -5,9 +5,9 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "callloop/Profile.h"
 #include "ir/Builder.h"
 #include "ir/Lowering.h"
+#include "markers/Pipeline.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>

@@ -26,7 +26,6 @@
 //
 //===----------------------------------------------------------------------==//
 
-#include "callloop/Profile.h"
 #include "cfg/Format.h"
 #include "cfg/Import.h"
 #include "ir/Lowering.h"
@@ -115,28 +114,6 @@ std::string slurp(const std::string &Path) {
                      std::istreambuf_iterator<char>());
 }
 
-/// The full marker-pipeline observer stack, identical to the one
-/// `spm_tool checkpoint save/resume` builds: tracker -> marker runtime ->
-/// interval builder -> perf model under one mux.
-struct PipelineStack {
-  PerfModel Perf;
-  IntervalBuilder Ivb;
-  CallLoopTracker Tracker;
-  MarkerRuntime Runtime;
-  StaticMux<CallLoopTracker, IntervalBuilder, PerfModel> Mux;
-  Interpreter Interp;
-
-  PipelineStack(const Binary &B, const LoopIndex &Loops,
-                const CallLoopGraph &G, const MarkerSet &M,
-                const WorkloadInput &In)
-      : Perf(), Ivb(IntervalBuilder::markerDriven(&Perf, /*CollectBbv=*/true)),
-        Tracker(B, Loops, G), Runtime(M, G), Mux(Tracker, Ivb, Perf),
-        Interp(B, In) {
-    Tracker.addListener(&Runtime);
-    Runtime.setCallback([this](int32_t Idx) { Ivb.requestCut(Idx); });
-  }
-};
-
 struct RunDump {
   std::vector<IntervalRecord> Iv;
   uint64_t TotalInstrs = 0;
@@ -147,11 +124,12 @@ RunDump runWhole(const Binary &B, const LoopIndex &Loops,
                  const CallLoopGraph &G, const MarkerSet &M,
                  const WorkloadInput &In, const BytecodeModule *Bc,
                  uint64_t Cap) {
-  PipelineStack S(B, Loops, G, M, In);
-  S.Mux.onRunStart(B, In);
-  RunResult R = detail::segmentWithEngine(S.Interp, Bc, S.Mux, nullptr, Cap);
-  S.Mux.onRunEnd(R.TotalInstrs);
-  return {S.Ivb.takeIntervals(), R.TotalInstrs};
+  MarkerStack S(B, Loops, G, M, /*CollectBbv=*/true);
+  Interpreter Interp(B, In);
+  S.obs().onRunStart(B, In);
+  RunResult R = detail::segmentWithEngine(Interp, Bc, S.obs(), nullptr, Cap);
+  S.obs().onRunEnd(R.TotalInstrs);
+  return {S.take().Intervals, R.TotalInstrs};
 }
 
 /// Runs to the \p At boundary, captures and serializes a full pipeline
@@ -161,24 +139,18 @@ std::string saveAt(const Binary &B, const LoopIndex &Loops,
                    const CallLoopGraph &G, const MarkerSet &M,
                    const WorkloadInput &In, const BytecodeModule *Bc,
                    uint64_t At, RunDump &Left) {
-  PipelineStack S(B, Loops, G, M, In);
-  S.Mux.onRunStart(B, In);
+  MarkerStack S(B, Loops, G, M, /*CollectBbv=*/true);
+  Interpreter Interp(B, In);
+  S.obs().onRunStart(B, In);
   PipelineCheckpoint C;
   RunResult R =
-      detail::segmentWithEngine(S.Interp, Bc, S.Mux, nullptr, At, &C.Interp);
+      detail::segmentWithEngine(Interp, Bc, S.obs(), nullptr, At, &C.Interp);
   if (C.Interp.Finished)
-    S.Mux.onRunEnd(R.TotalInstrs);
+    S.obs().onRunEnd(R.TotalInstrs);
   C.Seed = In.seed();
-  C.HasTracker = true;
-  C.Tracker = S.Tracker.saveState();
-  C.HasInterval = true;
-  C.Interval = S.Ivb.saveState();
-  C.HasPerf = true;
-  C.Perf = S.Perf.saveState();
-  C.HasMarkers = true;
-  C.Markers = S.Runtime.saveState();
+  S.save(C);
   std::string Bytes = serializeCheckpoint(C);
-  Left = {S.Ivb.takeIntervals(), R.TotalInstrs};
+  Left = {S.take().Intervals, R.TotalInstrs};
   return Bytes;
 }
 
@@ -194,18 +166,16 @@ RunDump resumeFrom(const Binary &B, const LoopIndex &Loops,
   EXPECT_TRUE(C.has_value()) << Ctx << ": " << Err;
   if (!C)
     return {};
-  PipelineStack S(B, Loops, G, M, In);
-  EXPECT_TRUE(S.Tracker.restoreState(C->Tracker)) << Ctx;
-  EXPECT_TRUE(S.Perf.restoreState(C->Perf)) << Ctx;
-  EXPECT_TRUE(S.Runtime.restoreState(C->Markers)) << Ctx;
-  S.Ivb.restoreState(C->Interval);
+  MarkerStack S(B, Loops, G, M, /*CollectBbv=*/true);
+  EXPECT_TRUE(S.restore(*C)) << Ctx;
+  Interpreter Interp(B, In);
   RunResult R;
   R.TotalInstrs = C->Interp.TotalInstrs;
   if (!C->Interp.Finished) {
-    R = detail::segmentWithEngine(S.Interp, Bc, S.Mux, &C->Interp, Cap);
-    S.Mux.onRunEnd(R.TotalInstrs);
+    R = detail::segmentWithEngine(Interp, Bc, S.obs(), &C->Interp, Cap);
+    S.obs().onRunEnd(R.TotalInstrs);
   }
-  return {S.Ivb.takeIntervals(), R.TotalInstrs};
+  return {S.take().Intervals, R.TotalInstrs};
 }
 
 /// One generated program compiled for all tiers, with markers selected.

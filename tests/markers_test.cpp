@@ -5,7 +5,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "callloop/Profile.h"
 #include "ir/Builder.h"
 #include "ir/Lowering.h"
 #include "markers/Pipeline.h"

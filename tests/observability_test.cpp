@@ -17,7 +17,6 @@
 //
 //===----------------------------------------------------------------------==//
 
-#include "callloop/Profile.h"
 #include "ir/Lowering.h"
 #include "markers/Checkpoint.h"
 #include "markers/Pipeline.h"

@@ -1,6 +1,5 @@
 //===- tests/prediction_test.cpp - next-phase prediction ------------------==//
 
-#include "callloop/Profile.h"
 #include "ir/Lowering.h"
 #include "markers/Pipeline.h"
 #include "markers/Selector.h"

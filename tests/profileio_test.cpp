@@ -1,8 +1,8 @@
 //===- tests/profileio_test.cpp - profile file round trips ----------------==//
 
-#include "callloop/Profile.h"
 #include "callloop/ProfileIO.h"
 #include "ir/Lowering.h"
+#include "markers/Pipeline.h"
 #include "markers/Selector.h"
 #include "workloads/Workloads.h"
 

@@ -7,7 +7,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "CacheReference.h"
-#include "callloop/Profile.h"
 #include "ir/Lowering.h"
 #include "markers/Pipeline.h"
 #include "markers/Selector.h"

@@ -1,8 +1,8 @@
 //===- tests/serialize_test.cpp - marker file format ----------------------==//
 
-#include "callloop/Profile.h"
 #include "ir/Lowering.h"
 #include "markers/Checkpoint.h"
+#include "markers/Pipeline.h"
 #include "markers/Selector.h"
 #include "markers/Serialize.h"
 #include "workloads/Workloads.h"

@@ -260,33 +260,16 @@ TEST(ShardCheckpoint, SerializedRoundTripResumesExactly) {
 
     // First half: full stack, suspend at Mid, capture everything.
     PipelineCheckpoint C;
-    std::vector<IntervalRecord> Iv1;
-    std::vector<int32_t> Firings;
+    MarkerRun First;
     {
-      PerfModel Perf;
-      IntervalBuilder Ivb = IntervalBuilder::markerDriven(&Perf, true);
-      CallLoopTracker Tracker(*B, Loops, *G);
-      MarkerRuntime Runtime(Sel.Markers, *G);
-      Tracker.addListener(&Runtime);
-      Runtime.setCallback([&](int32_t Idx) {
-        Ivb.requestCut(Idx);
-        Firings.push_back(Idx);
-      });
-      StaticMux<CallLoopTracker, IntervalBuilder, PerfModel> Mux(Tracker,
-                                                                 Ivb, Perf);
+      MarkerStack S(*B, Loops, *G, Sel.Markers, /*CollectBbv=*/true,
+                    /*RecordFirings=*/true);
       Interpreter Interp(*B, RC.In);
-      Mux.onRunStart(*B, RC.In);
-      Interp.runFastSegment(Mux, nullptr, Mid, &C.Interp);
+      S.obs().onRunStart(*B, RC.In);
+      Interp.runFastSegment(S.obs(), nullptr, Mid, &C.Interp);
       C.Seed = RC.In.seed();
-      C.HasTracker = true;
-      C.Tracker = Tracker.saveState();
-      C.HasInterval = true;
-      C.Interval = Ivb.saveState();
-      C.HasPerf = true;
-      C.Perf = Perf.saveState();
-      C.HasMarkers = true;
-      C.Markers = Runtime.saveState();
-      Iv1 = Ivb.takeIntervals();
+      S.save(C);
+      First = S.take();
     }
 
     // Through the wire format.
@@ -304,36 +287,85 @@ TEST(ShardCheckpoint, SerializedRoundTripResumesExactly) {
           << RC.Name << " frame " << I;
 
     // Second half: a fresh stack resumed from the *parsed* checkpoint.
-    std::vector<IntervalRecord> Iv2;
-    RunResult R2;
+    MarkerRun Second;
     {
-      PerfModel Perf;
-      IntervalBuilder Ivb = IntervalBuilder::markerDriven(&Perf, true);
-      CallLoopTracker Tracker(*B, Loops, *G);
-      MarkerRuntime Runtime(Sel.Markers, *G);
-      Tracker.addListener(&Runtime);
-      Runtime.setCallback([&](int32_t Idx) {
-        Ivb.requestCut(Idx);
-        Firings.push_back(Idx);
-      });
-      StaticMux<CallLoopTracker, IntervalBuilder, PerfModel> Mux(Tracker,
-                                                                 Ivb, Perf);
-      ASSERT_TRUE(Tracker.restoreState(Parsed->Tracker)) << RC.Name;
-      ASSERT_TRUE(Perf.restoreState(Parsed->Perf)) << RC.Name;
-      ASSERT_TRUE(Runtime.restoreState(Parsed->Markers)) << RC.Name;
-      Ivb.restoreState(Parsed->Interval);
+      MarkerStack S(*B, Loops, *G, Sel.Markers, /*CollectBbv=*/true,
+                    /*RecordFirings=*/true);
+      ASSERT_TRUE(S.restore(*Parsed)) << RC.Name;
       Interpreter Interp(*B, RC.In);
-      R2 = Interp.runFastSegment(Mux, &Parsed->Interp, Cap);
-      Mux.onRunEnd(R2.TotalInstrs);
-      Iv2 = Ivb.takeIntervals();
+      RunResult R = Interp.runFastSegment(S.obs(), &Parsed->Interp, Cap);
+      S.obs().onRunEnd(R.TotalInstrs);
+      Second = S.take();
+      Second.Run = R;
     }
 
-    EXPECT_EQ(Ref.Firings, Firings) << RC.Name;
-    expectSameRun(Ref.Run, R2, RC.Name);
-    Iv1.insert(Iv1.end(), std::make_move_iterator(Iv2.begin()),
-               std::make_move_iterator(Iv2.end()));
-    expectSameIntervals(Ref.Intervals, Iv1, RC.Name);
+    expectSameRun(Ref.Run, Second.Run, RC.Name);
+    detail::append(First.Firings, Second.Firings);
+    EXPECT_EQ(Ref.Firings, First.Firings) << RC.Name;
+    detail::append(First.Intervals, Second.Intervals);
+    expectSameIntervals(Ref.Intervals, First.Intervals, RC.Name);
   }
+}
+
+// Each stack restores only from a checkpoint carrying all of its own
+// sections, and only when the interval partial fits the binary: a leg or a
+// `checkpoint resume` handed anything else must refuse instead of running
+// on from a half-restored stack.
+TEST(ShardCheckpoint, StackRestoreRequiresItsOwnFittingSections) {
+  Workload W = WorkloadRegistry::create("gzip");
+  auto B = lower(*W.Program, LoweringOptions::O2());
+  LoopIndex Loops = LoopIndex::build(*B);
+  auto G = buildCallLoopGraph(*B, Loops, W.Ref, Cap);
+  SelectionResult Sel = selectMarkers(*G, SelectorConfig());
+  ASSERT_FALSE(Sel.Markers.empty());
+  const uint64_t Mid = Cap / 2;
+
+  // A graph-warm checkpoint carries the tracker section only.
+  PipelineCheckpoint GraphCk;
+  {
+    GraphStack S(*B, Loops, *G);
+    Interpreter Interp(*B, W.Ref);
+    S.obs().onRunStart(*B, W.Ref);
+    Interp.runFastSegment(S.obs(), nullptr, Mid, &GraphCk.Interp);
+    S.save(GraphCk);
+  }
+  EXPECT_TRUE(GraphCk.HasTracker);
+  EXPECT_FALSE(GraphCk.HasInterval || GraphCk.HasPerf || GraphCk.HasMarkers);
+  EXPECT_FALSE(MarkerStack(*B, Loops, *G, Sel.Markers, true).restore(GraphCk));
+  EXPECT_FALSE(FixedStack(*B, 10000, true).restore(GraphCk));
+  EXPECT_TRUE(GraphStack(*B, Loops, *G).restore(GraphCk));
+
+  PipelineCheckpoint Ck;
+  {
+    MarkerStack S(*B, Loops, *G, Sel.Markers, /*CollectBbv=*/true);
+    Interpreter Interp(*B, W.Ref);
+    S.obs().onRunStart(*B, W.Ref);
+    Interp.runFastSegment(S.obs(), nullptr, Mid, &Ck.Interp);
+    S.save(Ck);
+  }
+  ASSERT_FALSE(Ck.Interval.Partial.empty());
+  EXPECT_TRUE(MarkerStack(*B, Loops, *G, Sel.Markers, true).restore(Ck));
+  for (bool *Has : {&Ck.HasTracker, &Ck.HasInterval, &Ck.HasPerf,
+                    &Ck.HasMarkers}) {
+    *Has = false;
+    EXPECT_FALSE(MarkerStack(*B, Loops, *G, Sel.Markers, true).restore(Ck));
+    *Has = true;
+  }
+
+  // The interval section is checked against the stack's binary
+  // (trace_test covers the builder's other refusals).
+  PipelineCheckpoint BadId = Ck;
+  BadId.Interval.Partial.back().first =
+      static_cast<uint32_t>(B->Blocks.size());
+  EXPECT_FALSE(MarkerStack(*B, Loops, *G, Sel.Markers, true).restore(BadId));
+  EXPECT_FALSE(FixedStack(*B, 10000, true).restore(BadId));
+  // The wire format carries such an id intact (its CRCs are valid), so the
+  // restore is the check that keeps it from sizing the BBV accumulator.
+  std::optional<PipelineCheckpoint> Parsed =
+      parseCheckpoint(serializeCheckpoint(BadId));
+  ASSERT_TRUE(Parsed.has_value());
+  EXPECT_FALSE(
+      MarkerStack(*B, Loops, *G, Sel.Markers, true).restore(*Parsed));
 }
 
 //===----------------------------------------------------------------------===//

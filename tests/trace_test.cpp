@@ -136,6 +136,28 @@ TEST(IntervalBuilder, CutBeforeAnyBlockProducesNothing) {
   EXPECT_TRUE(B.intervals().empty());
 }
 
+TEST(IntervalBuilder, RestoreRejectsPartialThatDoesNotFit) {
+  constexpr size_t NumBlocks = 4;
+  IntervalBuilderState St;
+  St.CurInstrs = 10;
+  St.Partial = {{1, 4.0}, {3, 6.0}};
+  EXPECT_TRUE(IntervalBuilder::markerDriven(nullptr, true)
+                  .restoreState(St, NumBlocks));
+  // BBV collection off: there is nothing a partial vector could restore.
+  EXPECT_FALSE(IntervalBuilder::markerDriven(nullptr, false)
+                   .restoreState(St, NumBlocks));
+
+  IntervalBuilderState OutOfRange = St;
+  OutOfRange.Partial.push_back({NumBlocks, 1.0});
+  EXPECT_FALSE(IntervalBuilder::markerDriven(nullptr, true)
+                   .restoreState(OutOfRange, NumBlocks));
+
+  IntervalBuilderState Dup = St;
+  Dup.Partial.push_back({1, 2.0});
+  EXPECT_FALSE(IntervalBuilder::markerDriven(nullptr, true)
+                   .restoreState(Dup, NumBlocks));
+}
+
 TEST(IntervalBuilder, TotalInstructionsHelper) {
   std::vector<IntervalRecord> Ivs(3);
   Ivs[0].NumInstrs = 5;

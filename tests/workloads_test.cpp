@@ -8,7 +8,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "callloop/Profile.h"
 #include "ir/Lowering.h"
 #include "ir/Verify.h"
 #include "markers/Pipeline.h"

@@ -20,7 +20,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "callloop/Profile.h"
 #include "callloop/ProfileIO.h"
 #include "cfg/Format.h"
 #include "cfg/Import.h"
@@ -85,12 +84,9 @@ int usage() {
       "                  [--ilower N] [--limit N]]\n"
       "common: --jobs N parallelizes independent runs (0 = all cores;\n"
       "        SPM_JOBS is the environment fallback)\n"
-      "        --engine tree|bytecode|bytecode-fused picks the execution\n"
-      "        tier (default tree); outputs are byte-identical across\n"
-      "        tiers. bytecode runs the superop-fused module (the fastest\n"
-      "        tier); bytecode-fused is an explicit alias. --no-fuse runs\n"
-      "        the unfused bytecode module instead and is only meaningful\n"
-      "        with --engine=bytecode\n"
+      "        --engine tree|bytecode picks the execution tier (default\n"
+      "        tree); outputs are byte-identical across tiers. bytecode\n"
+      "        runs the superop-fused module (the fastest tier)\n"
       "        --trace-out FILE enables spmtrace and writes a Chrome\n"
       "        trace_event JSON timeline (chrome://tracing / Perfetto)\n"
       "        --metrics-out FILE enables spmtrace and writes the metrics\n"
@@ -200,7 +196,6 @@ struct CommonArgs {
   std::string MetricsOut;
   std::string Failpoints;
   std::string Engine = "tree";
-  bool NoFuse = false;
   std::vector<std::pair<std::string, int64_t>> Params;
   uint64_t Seed = 1;
   bool SplitIrreducible = false;
@@ -259,15 +254,12 @@ CommonArgs parseArgs(int Argc, char **Argv, int Start) {
     } else if (valueOpt(Arg, "--failpoints", I, Argc, Argv, V)) {
       A.Failpoints = V;
     } else if (valueOpt(Arg, "--engine", I, Argc, Argv, V)) {
-      if (V != "tree" && V != "bytecode" && V != "bytecode-fused") {
-        std::fprintf(stderr,
-                     "unknown engine %s (tree|bytecode|bytecode-fused)\n",
+      if (V != "tree" && V != "bytecode") {
+        std::fprintf(stderr, "unknown engine %s (tree|bytecode)\n",
                      V.c_str());
         A.Bad = true;
       }
       A.Engine = V;
-    } else if (Arg == "--no-fuse") {
-      A.NoFuse = true;
     } else if (valueOpt(Arg, "--param", I, Argc, Argv, V)) {
       size_t Eq = V.find('=');
       if (Eq == std::string::npos || Eq == 0) {
@@ -299,18 +291,6 @@ CommonArgs parseArgs(int Argc, char **Argv, int Start) {
       A.Positional.push_back(Arg);
     }
   }
-  // --no-fuse only modifies the bytecode tier; combining it with a tier
-  // that has no fusion pass (tree) or one that demands fusion by name
-  // (bytecode-fused) is a contradiction, not a preference.
-  if (A.NoFuse && A.Engine == "tree") {
-    std::fprintf(stderr, "--no-fuse requires --engine=bytecode "
-                         "(the tree tier has no fusion pass)\n");
-    A.Bad = true;
-  } else if (A.NoFuse && A.Engine == "bytecode-fused") {
-    std::fprintf(stderr, "contradictory flags: --no-fuse with "
-                         "--engine=bytecode-fused\n");
-    A.Bad = true;
-  }
   return A;
 }
 
@@ -320,8 +300,7 @@ CommonArgs parseArgs(int Argc, char **Argv, int Start) {
 /// differently-configured runs and hosts (CPU count, build type) apart.
 /// One JSON object, no trailing newline.
 std::string provenanceJson(const std::string &Cmd, const CommonArgs &A) {
-  bool Fused = (A.Engine == "bytecode" && !A.NoFuse) ||
-               A.Engine == "bytecode-fused";
+  bool Fused = A.Engine == "bytecode";
   std::string Out = "{\"format_version\": 1";
   Out += ", \"tool\": \"spm_tool\"";
   Out += ", \"command\": \"" + jsonEscape(Cmd) + "\"";
@@ -347,16 +326,14 @@ std::string provenanceJson(const std::string &Cmd, const CommonArgs &A) {
 /// Compiles \p Bin to bytecode when a bytecode engine was selected;
 /// returns null for the tree tier. Every driver takes the module as an
 /// optional pointer, so a null return selects the default path untouched.
-/// The bytecode tier runs the superop-fused module unless --no-fuse asked
-/// for the plain one; both produce byte-identical event streams.
+/// The bytecode tier runs the superop-fused module, whose event stream is
+/// byte-identical to the plain module's.
 std::unique_ptr<BytecodeModule> makeEngine(const CommonArgs &A,
                                            const Binary &Bin) {
-  if (A.Engine != "bytecode" && A.Engine != "bytecode-fused")
+  if (A.Engine != "bytecode")
     return nullptr;
-  BytecodeModule M = compileBytecode(Bin);
-  if (!A.NoFuse)
-    M = fuseBytecode(Bin, std::move(M));
-  return std::make_unique<BytecodeModule>(std::move(M));
+  return std::make_unique<BytecodeModule>(
+      fuseBytecode(Bin, compileBytecode(Bin)));
 }
 
 int cmdList() {
@@ -691,28 +668,17 @@ int cmdBenchProfile(const CommonArgs &A) {
       });
       stage("interp+tracker", [&](auto &&Run) {
         CallLoopGraph PG(*Bin, Loops);
-        CallLoopTracker T(*Bin, Loops, PG);
-        T.setProfileTarget(&PG);
-        Run(T);
+        GraphStack S(*Bin, Loops, PG);
+        S.Tracker.setProfileTarget(&PG);
+        Run(S.obs());
       });
       stage("tracker+markers+intervals", [&](auto &&Run) {
-        PerfModel Perf;
-        IntervalBuilder Ivb =
-            IntervalBuilder::markerDriven(&Perf, /*CollectBbv=*/false);
-        CallLoopTracker T(*Bin, Loops, *G);
-        MarkerRuntime RT(Sel.Markers, *G);
-        T.addListener(&RT);
-        RT.setCallback([&](int32_t Idx) { Ivb.requestCut(Idx); });
-        StaticMux<CallLoopTracker, IntervalBuilder, PerfModel> Mux(T, Ivb,
-                                                                   Perf);
-        Run(Mux);
+        MarkerStack S(*Bin, Loops, *G, Sel.Markers, /*CollectBbv=*/false);
+        Run(S.obs());
       });
       stage("bbv", [&](auto &&Run) {
-        PerfModel Perf;
-        IntervalBuilder Ivb =
-            IntervalBuilder::fixedLength(100000, &Perf, /*CollectBbv=*/true);
-        StaticMux<IntervalBuilder, PerfModel> Mux(Ivb, Perf);
-        Run(Mux);
+        FixedStack S(*Bin, 100000, /*CollectBbv=*/true);
+        Run(S.obs());
       });
       stage("cache", [&](auto &&Run) {
         PerfModel Perf;
@@ -914,20 +880,15 @@ std::string dumpIntervals(const std::vector<IntervalRecord> &Iv) {
   return Out;
 }
 
-/// Shared setup of `checkpoint save` / `checkpoint resume`: the marker
-/// pipeline of cmdReport, but driven through resumable segments.
+/// Shared setup of `checkpoint save` / `checkpoint resume`: the inputs of
+/// cmdReport's marker pipeline, whose MarkerStack the commands then drive
+/// through resumable segments.
 struct CheckpointPipeline {
   std::unique_ptr<Binary> Bin;
   LoopIndex Loops;
   std::unique_ptr<CallLoopGraph> G;
   MarkerSet M;
   WorkloadInput In;
-
-  PerfModel Perf;
-  IntervalBuilder Ivb = IntervalBuilder::markerDriven(&Perf,
-                                                      /*CollectBbv=*/false);
-  std::unique_ptr<CallLoopTracker> Tracker;
-  std::unique_ptr<MarkerRuntime> Runtime;
 
   /// Nonzero exit code on failure; 0 when ready to run.
   int init(const CommonArgs &A, const std::string &WlName,
@@ -955,10 +916,6 @@ struct CheckpointPipeline {
     G = std::make_unique<CallLoopGraph>(*Bin, Loops);
     M = fromPortable(*Portable, *G, *Bin, Loops);
     In = A.UseRef ? W.Ref : W.Train;
-    Tracker = std::make_unique<CallLoopTracker>(*Bin, Loops, *G);
-    Runtime = std::make_unique<MarkerRuntime>(M, *G);
-    Tracker->addListener(Runtime.get());
-    Runtime->setCallback([this](int32_t Idx) { Ivb.requestCut(Idx); });
     return 0;
   }
 };
@@ -975,28 +932,20 @@ int cmdCheckpointSave(const CommonArgs &A) {
   uint64_t At =
       A.At > 0 ? A.At : std::numeric_limits<uint64_t>::max();
 
-  StaticMux<CallLoopTracker, IntervalBuilder, PerfModel> Mux(
-      *P.Tracker, P.Ivb, P.Perf);
+  MarkerStack S(*P.Bin, P.Loops, *P.G, P.M, /*CollectBbv=*/false);
   Interpreter Interp(*P.Bin, P.In);
-  Mux.onRunStart(*P.Bin, P.In);
+  S.obs().onRunStart(*P.Bin, P.In);
   PipelineCheckpoint C;
   auto Bc = makeEngine(A, *P.Bin);
-  RunResult R =
-      detail::segmentWithEngine(Interp, Bc.get(), Mux, nullptr, At, &C.Interp);
+  RunResult R = detail::segmentWithEngine(Interp, Bc.get(), S.obs(), nullptr,
+                                          At, &C.Interp);
   // Run framing: a run that completed before the boundary gets its normal
   // end (pop-all + final cut) before states are captured, so resuming the
   // checkpoint is a no-op rather than a duplicate final interval.
   if (C.Interp.Finished)
-    Mux.onRunEnd(R.TotalInstrs);
+    S.obs().onRunEnd(R.TotalInstrs);
   C.Seed = P.In.seed();
-  C.HasTracker = true;
-  C.Tracker = P.Tracker->saveState();
-  C.HasInterval = true;
-  C.Interval = P.Ivb.saveState();
-  C.HasPerf = true;
-  C.Perf = P.Perf.saveState();
-  C.HasMarkers = true;
-  C.Markers = P.Runtime->saveState();
+  S.save(C);
 
   if (!writeOutput(A.OutPath, serializeCheckpoint(C), "ckpt.write")) {
     std::fprintf(stderr, "checkpoint save: cannot write %s\n",
@@ -1004,7 +953,7 @@ int cmdCheckpointSave(const CommonArgs &A) {
     return 1;
   }
   if (!A.IntervalsPath.empty() &&
-      !writeOutput(A.IntervalsPath, dumpIntervals(P.Ivb.takeIntervals()))) {
+      !writeOutput(A.IntervalsPath, dumpIntervals(S.take().Intervals))) {
     std::fprintf(stderr, "checkpoint save: cannot write %s\n",
                  A.IntervalsPath.c_str());
     return 1;
@@ -1046,23 +995,14 @@ int cmdCheckpointResume(const CommonArgs &A) {
                  static_cast<unsigned long long>(P.In.seed()));
     return 1;
   }
-  if (!C->HasTracker || !C->HasInterval || !C->HasPerf || !C->HasMarkers) {
+  MarkerStack S(*P.Bin, P.Loops, *P.G, P.M, /*CollectBbv=*/false);
+  if (!S.restore(*C)) {
     std::fprintf(stderr,
-                 "checkpoint resume: checkpoint lacks a pipeline section\n");
+                 "checkpoint resume: checkpoint lacks a pipeline section or "
+                 "does not fit this workload's pipeline\n");
     return 1;
   }
-  if (!P.Tracker->restoreState(C->Tracker) ||
-      !P.Perf.restoreState(C->Perf) ||
-      !P.Runtime->restoreState(C->Markers)) {
-    std::fprintf(stderr,
-                 "checkpoint resume: checkpoint does not fit this "
-                 "workload's pipeline\n");
-    return 1;
-  }
-  P.Ivb.restoreState(C->Interval);
 
-  StaticMux<CallLoopTracker, IntervalBuilder, PerfModel> Mux(
-      *P.Tracker, P.Ivb, P.Perf);
   Interpreter Interp(*P.Bin, P.In);
   uint64_t Resumed = C->Interp.TotalInstrs;
   RunResult R;
@@ -1071,11 +1011,11 @@ int cmdCheckpointResume(const CommonArgs &A) {
     // Checkpoints address source structure, not engine state, so the
     // resuming tier is free to differ from the saving tier.
     auto Bc = makeEngine(A, *P.Bin);
-    R = detail::segmentWithEngine(Interp, Bc.get(), Mux, &C->Interp,
+    R = detail::segmentWithEngine(Interp, Bc.get(), S.obs(), &C->Interp,
                                   std::numeric_limits<uint64_t>::max());
-    Mux.onRunEnd(R.TotalInstrs);
+    S.obs().onRunEnd(R.TotalInstrs);
   }
-  std::vector<IntervalRecord> Iv = P.Ivb.takeIntervals();
+  std::vector<IntervalRecord> Iv = S.take().Intervals;
   if (!A.IntervalsPath.empty() &&
       !writeOutput(A.IntervalsPath, dumpIntervals(Iv))) {
     std::fprintf(stderr, "checkpoint resume: cannot write %s\n",
